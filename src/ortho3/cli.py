@@ -3,13 +3,16 @@
 Commands: rotate, reflect, rotoreflect (direct problem), classify and
 invariants (inverse problem).  Inputs are scalar expressions (exact mode) or
 numbers (float mode); matrices travel as JSON documents.  Exit codes:
-0 ok, 2 parse error, 3 invalid angle, 4 not orthogonal, 5 inconclusive.
+0 ok, 2 parse error or invalid input (including NaN or infinite numbers and
+an axis that fails the unit check), 3 invalid angle, 4 not orthogonal,
+5 inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import (
@@ -19,6 +22,7 @@ from .errors import (
     InvalidAngle,
     InvalidTower,
     NegativeRadicand,
+    NonUnitAxis,
     NotOrthogonal,
     ParseError,
     ZeroAxis,
@@ -124,7 +128,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (NegativeRadicand, DivisionByZero, ZeroAxis, _InputError,
+    except (NegativeRadicand, DivisionByZero, ZeroAxis, NonUnitAxis, _InputError,
             IncompatibleTowers) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
@@ -146,6 +150,17 @@ def entry() -> None:
 # ---------------------------------------------------------------------------
 # input parsing
 # ---------------------------------------------------------------------------
+
+def _finite(x, what: str) -> float:
+    """``x`` as a finite float, or an input error naming ``what``."""
+    try:
+        f = float(x)
+    except (OverflowError, TypeError, ValueError):
+        f = math.nan
+    if not math.isfinite(f):
+        raise _InputError(f"{what}: {x!r} is not a finite number")
+    return f
+
 
 def _split_fields(text: str) -> list[str]:
     """Split on whitespace at parenthesis depth zero."""
@@ -172,8 +187,7 @@ def _scalar_of(text: str, mode: str, field: TowerField):
         try:
             return float(text), field
         except ValueError:
-            elem = parse_scalar(text, QQ)
-            return elem.to_float(), field
+            return _finite(parse_scalar(text, QQ), "expression"), field
     elem = parse_scalar(text, field)
     return elem, elem.field
 
@@ -189,7 +203,7 @@ def _parse_triple(text: str, mode: str, flag: str) -> tuple[Vec3, TowerField]:
             val, field = _scalar_of(tok, mode, field)
         except ParseError as e:
             raise ParseError(f"{flag}: {tok!r}: {e.message}", e.offset)
-        comps.append(val)
+        comps.append(_finite(val, flag) if mode == "float" else val)
     if mode == "exact":
         comps = [c.lift(field) for c in comps]
     return Vec3(*comps), field
@@ -206,6 +220,8 @@ def _parse_angle(ns, mode: str, field: TowerField) -> tuple[AngleRep, TowerField
             raise InvalidAngle(
                 "--angle-deg is not representable in exact mode; give --cos and --sin"
             )
+        if not math.isfinite(ns.angle_deg):
+            raise InvalidAngle(f"--angle-deg: {ns.angle_deg} is not a finite angle")
         return AngleRep.from_degrees(ns.angle_deg), field
     if not (has_cos and has_sin):
         raise InvalidAngle("missing angle: give --angle-deg or both --cos and --sin")
@@ -297,18 +313,18 @@ def _load_document(arg: str) -> dict:
 
 
 def _document_matrix(doc: dict, tol: float):
-    """Matrix, backend and tower field described by a document."""
+    """Matrix and backend described by a document."""
     mode = doc["mode"]
     scale = doc.get("scale")
     if mode == "float":
         flat = [e for row in doc["matrix"] for e in row]
         if any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in flat):
             raise _InputError("float-mode entries must be numbers")
-        entries = [float(e) for e in flat]
+        entries = [_finite(e, "matrix entry") for e in flat]
         if scale is not None:
-            s = float(scale) if not isinstance(scale, str) else parse_scalar(scale).to_float()
+            s = _finite(parse_scalar(scale) if isinstance(scale, str) else scale, "scale")
             entries = [e * s for e in entries]
-        return Mat3(tuple(entries)), FloatBackend(tol), QQ
+        return Mat3(tuple(entries)), FloatBackend(tol)
     field = QQ
     elems = []
     for row in doc["matrix"]:
@@ -329,7 +345,7 @@ def _document_matrix(doc: dict, tol: float):
         elems = [e.lift(field) * s for e in elems]
     else:
         elems = [e.lift(field) for e in elems]
-    return Mat3(tuple(elems)), ExactBackend(), field
+    return Mat3(tuple(elems)), ExactBackend()
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +354,9 @@ def _document_matrix(doc: dict, tol: float):
 
 def _cmd_classify(ns, tol, digits, json_out) -> int:
     doc = _load_document(ns.matrix)
-    M, backend, _ = _document_matrix(doc, tol)
+    M, backend = _document_matrix(doc, tol)
     dec = classify(M, backend)
-    report = _decomposition_report(dec, backend, digits)
+    report = _decomposition_report(dec, backend, digits, doc["mode"] == "exact")
     if json_out:
         print(json.dumps(report))
     else:
@@ -350,9 +366,9 @@ def _cmd_classify(ns, tol, digits, json_out) -> int:
 
 def _cmd_invariants(ns, tol, digits, json_out) -> int:
     doc = _load_document(ns.matrix)
-    M, backend, _ = _document_matrix(doc, tol)
+    M, backend = _document_matrix(doc, tol)
     inv = invariant_report(M, backend)
-    exact = backend.mode == "exact"
+    exact = doc["mode"] == "exact"
     report = {
         "det": _round_sig(backend.to_float(inv.det), digits),
         "trace": _round_sig(backend.to_float(inv.trace), digits),
@@ -388,8 +404,7 @@ def _decomposition_field(dec: Decomposition) -> TowerField | None:
     return best
 
 
-def _decomposition_report(dec: Decomposition, backend, digits: int) -> dict:
-    exact = backend.mode == "exact"
+def _decomposition_report(dec: Decomposition, backend, digits: int, exact: bool) -> dict:
     report: dict = {"kind": dec.kind.value}
     if dec.axis is not None:
         numeric = [_round_sig(backend.to_float(c), digits) for c in dec.axis.vec]
@@ -425,8 +440,7 @@ def format_degrees_minutes(deg: float) -> str:
     whole = int(deg)
     minutes = round((deg - whole) * 60)
     if minutes == 60:
-        whole += 1
-        minutes = 0
+        whole, minutes = (whole + 1) % 360, 0
     return f"{whole}° {minutes}′"
 
 

@@ -21,8 +21,6 @@ from fractions import Fraction
 from .errors import InvalidAngle, NonUnitAxis, NotOrthogonal, ZeroAxis
 from .linalg3 import Mat3, Vec3, infer_backend, outer
 
-_TWO_PI = 2.0 * math.pi
-
 
 class Kind(Enum):
     IDENTITY = "identity"
@@ -61,13 +59,14 @@ class UnitAxis:
         """Scale an arbitrary nonzero vector to unit length.
 
         In the exact backend the needed square root may extend the tower.
-        Only the exactly-zero vector is rejected: a tiny one still names a
-        direction and normalizes accurately.
+        Only the exactly-zero vector and a NaN or infinite norm^2 are
+        rejected: a tiny vector still names a direction and normalizes
+        accurately.
         """
         b = backend or infer_backend(tuple(v))
         norm2 = v.dot(v)
-        if norm2 == 0:
-            raise ZeroAxis("zero axis vector")
+        if norm2 == 0 or not b.is_finite(norm2):
+            raise ZeroAxis(f"axis vector with norm^2 {norm2!r} cannot be normalized")
         if b.eq(norm2, 1):
             return cls(v)
         n = b.sqrt(norm2)
@@ -87,7 +86,7 @@ class AngleRep:
 
     @classmethod
     def from_degrees(cls, deg: float) -> AngleRep:
-        deg = deg % 360.0
+        deg = _fold_degrees(deg)
         rad = math.radians(deg)
         return cls(math.cos(rad), math.sin(rad), deg)
 
@@ -153,65 +152,70 @@ def _check_angle(angle: AngleRep, b) -> None:
         raise InvalidAngle(f"cos^2 + sin^2 != 1 for {angle!r}")
 
 
+def _fold_degrees(deg: float) -> float:
+    """deg in [0, 360): ``%`` rounds a tiny negative angle up to 360."""
+    deg %= 360.0
+    return 0.0 if deg == 360.0 else deg
+
+
 def _degrees_of(cos_alpha, sin_alpha, b) -> float:
-    rad = math.atan2(b.to_float(sin_alpha), b.to_float(cos_alpha)) % _TWO_PI
-    return math.degrees(rad)
+    rad = math.atan2(b.to_float(sin_alpha), b.to_float(cos_alpha)) % math.tau
+    return _fold_degrees(math.degrees(rad))
 
 
-def _backend_for(M: Mat3, backend, tol):
-    if backend is not None:
-        return backend
-    return infer_backend(M.entries, 1e-9 if tol is None else tol)
+def _validated(axis: UnitAxis, angle: AngleRep | None = None, backend=None):
+    """Backend for a build call, after checking the axis and angle once."""
+    pair = () if angle is None else (angle.cos_alpha, angle.sin_alpha)
+    b = backend or infer_backend(tuple(axis.vec) + pair)
+    _check_unit(axis, b)
+    if angle is not None:
+        _check_angle(angle, b)
+    return b
 
 
 # ---------------------------------------------------------------------------
 # direct problem
 # ---------------------------------------------------------------------------
 
+def _cross(u: Vec3) -> Mat3:
+    return Mat3.from_rows([[0, -u.z, u.y], [u.z, 0, -u.x], [-u.y, u.x, 0]])
+
+
+def _rotation(u: Vec3, A: Mat3, angle: AngleRep) -> Mat3:
+    """R = I + sin*B + (cos - 1)(I - A) for a checked unit u and A = u u^t."""
+    eye = Mat3.identity()
+    return eye + _cross(u).scale(angle.sin_alpha) + (eye - A).scale(angle.cos_alpha - 1)
+
+
 def projection_matrix(axis: UnitAxis, backend=None) -> Mat3:
     """Orthogonal projection A = u u^t onto the axis line."""
-    b = backend or infer_backend(tuple(axis.vec))
-    _check_unit(axis, b)
+    _validated(axis, backend=backend)
     return outer(axis.vec, axis.vec)
 
 
 def cross_matrix(axis: UnitAxis, backend=None) -> Mat3:
     """Antisymmetric B with B v = u ^ v; satisfies -B^2 = I - A."""
-    b = backend or infer_backend(tuple(axis.vec))
-    _check_unit(axis, b)
-    ax, ay, az = axis.vec.x, axis.vec.y, axis.vec.z
-    return Mat3.from_rows([[0, -az, ay], [az, 0, -ax], [-ay, ax, 0]])
+    _validated(axis, backend=backend)
+    return _cross(axis.vec)
 
 
 def rotation_matrix(axis: UnitAxis, angle: AngleRep, backend=None) -> Mat3:
     """R = I + sin*B + (cos - 1)(I - A); proper rotation about the axis."""
-    b = backend or infer_backend(tuple(axis.vec) + (angle.cos_alpha, angle.sin_alpha))
-    _check_unit(axis, b)
-    _check_angle(angle, b)
-    eye = Mat3.identity()
-    A = outer(axis.vec, axis.vec)
-    B = cross_matrix(axis, b)
-    return eye + B.scale(angle.sin_alpha) + (eye - A).scale(angle.cos_alpha - 1)
+    _validated(axis, angle, backend)
+    return _rotation(axis.vec, outer(axis.vec, axis.vec), angle)
 
 
 def reflection_matrix(axis: UnitAxis, backend=None) -> Mat3:
     """S = I - 2A; reflection through the plane normal to the axis."""
-    b = backend or infer_backend(tuple(axis.vec))
-    _check_unit(axis, b)
+    _validated(axis, backend=backend)
     return Mat3.identity() - outer(axis.vec, axis.vec).scale(2)
 
 
 def rotoreflection_matrix(axis: UnitAxis, angle: AngleRep, backend=None) -> Mat3:
-    """SR = RS = S + sin*B + (cos - 1)(I - A)."""
-    b = backend or infer_backend(tuple(axis.vec) + (angle.cos_alpha, angle.sin_alpha))
-    _check_unit(axis, b)
-    _check_angle(angle, b)
-    eye = Mat3.identity()
+    """SR = RS = R - 2A, since S = I - 2A and A R = A."""
+    _validated(axis, angle, backend)
     A = outer(axis.vec, axis.vec)
-    B = cross_matrix(axis, b)
-    return reflection_matrix(axis, b) + B.scale(angle.sin_alpha) + (eye - A).scale(
-        angle.cos_alpha - 1
-    )
+    return _rotation(axis.vec, A, angle) - A.scale(2)
 
 
 def complete_orthonormal_basis(axis: UnitAxis, backend=None) -> tuple[Vec3, Vec3]:
@@ -221,8 +225,7 @@ def complete_orthonormal_basis(axis: UnitAxis, backend=None) -> tuple[Vec3, Vec3
     (a = b = 0, tested exactly: the quotients stay well-scaled however small
     h is) the basis degenerates to v = e1, w = u ^ e1.
     """
-    b = backend or infer_backend(tuple(axis.vec))
-    _check_unit(axis, b)
+    b = _validated(axis, backend=backend)
     ax, ay = axis.vec.x, axis.vec.y
     h2 = ax * ax + ay * ay
     if h2 == 0:
@@ -237,11 +240,15 @@ def complete_orthonormal_basis(axis: UnitAxis, backend=None) -> tuple[Vec3, Vec3
 # inverse problem
 # ---------------------------------------------------------------------------
 
+def _residual(diff: Mat3, b) -> float:
+    # exact zeros skip to_float, which would cost an interval evaluation
+    return max((abs(b.to_float(e)) for e in diff.entries if e != 0), default=0.0)
+
+
 def orthogonality_residual(M: Mat3, backend=None) -> float:
     """Max-norm of M^t M - I as a float; zero for exactly orthogonal input."""
     b = backend or infer_backend(M.entries)
-    diff = M.transpose() @ M - Mat3.identity()
-    return max(abs(b.to_float(e)) for e in diff.entries)
+    return _residual(M.transpose() @ M - Mat3.identity(), b)
 
 
 def invariant_report(M: Mat3, backend=None) -> InvariantReport:
@@ -261,31 +268,20 @@ def classify(M: Mat3, backend=None, tol: float | None = None) -> Decomposition:
     is recovered from the rank-1 projection built out of the symmetric part.
 
     The reported axis is canonical: its first nonzero component is positive,
-    with (axis, sin) flipped together, so angles land in [0, 2pi).
+    with (axis, sin) flipped together, so angles land in [0, 360) degrees.
     """
-    b = _backend_for(M, backend, tol)
-    res = orthogonality_residual(M, b)
-    eye = Mat3.identity()
-    MtM = M.transpose() @ M
-    for i in range(3):
-        for j in range(3):
-            if not b.eq(MtM[i, j], eye[i, j]):
-                raise NotOrthogonal(res)
-
-    d_raw = M.det()
-    if b.mode == "float":
-        det = 1 if d_raw > 0 else -1
-    elif b.eq(d_raw, 1):
-        det = 1
-    elif b.eq(d_raw, -1):
-        det = -1
-    else:
+    b = backend or infer_backend(M.entries, 1e-9 if tol is None else tol)
+    diff = M.transpose() @ M - Mat3.identity()
+    res = _residual(diff, b)
+    if not all(b.is_zero(e) for e in diff.entries):
         raise NotOrthogonal(res)
 
+    # the sign alone decides: det^2 = det(M^t M), which the check above has
+    # pinned to 1 (exactly, in the exact backend)
+    det = 1 if b.lt(0, M.det()) else -1
+
     half = b.from_rational(Fraction(1, 2))
-    cos = (M.trace() - det) * half
-    if b.mode == "float":
-        cos = min(1.0, max(-1.0, cos))
+    cos = b.clamp_unit((M.trace() - det) * half)
 
     m = Vec3(
         (M[2, 1] - M[1, 2]) * half,
@@ -295,42 +291,33 @@ def classify(M: Mat3, backend=None, tol: float | None = None) -> Decomposition:
 
     if not all(b.is_zero(c) for c in m):
         sin_mag = b.sqrt(m.dot(m))
-        u = _float_stable_axis(M, m, sin_mag, cos, det, b)
-        if u is None:
+        if b.prefers_symmetric_axis(det, cos):
+            u = _symmetric_axis(M, cos, det, b)
+            sin = sin_mag if b.lt(0, m.dot(u)) else -sin_mag
+        else:
             u = Vec3(m.x / sin_mag, m.y / sin_mag, m.z / sin_mag)
             u, sin = _canonical_flip(u, sin_mag, b)
-        else:
-            sin = sin_mag if m.dot(u) > 0 else -sin_mag
-        _check_pair_consistency(cos, sin, b, res)
+        if not b.eq_loose(cos * cos + sin * sin, 1):
+            raise NotOrthogonal(res)
         kind = Kind.ROTATION if det == 1 else Kind.ROTOREFLECTION
         angle = AngleRep(cos, sin, _degrees_of(cos, sin, b))
         return Decomposition(kind, UnitAxis(u), angle, det, res)
 
     # sin = 0: cos must be +1 or -1
-    if b.eq(cos, 1):
-        cos_snap = 1
-    elif b.eq(cos, -1):
-        cos_snap = -1
-    else:
-        raise NotOrthogonal(res)
-
-    one = b.from_rational(1)
     zero = b.from_rational(0)
-    if det == 1 and cos_snap == 1:
-        return Decomposition(Kind.IDENTITY, None, None, det, res)
-    if det == -1 and cos_snap == -1:
-        angle = AngleRep(-one, zero, 180.0)
+    if b.eq(cos, det):  # M = det * I
+        if det == 1:
+            return Decomposition(Kind.IDENTITY, None, None, det, res)
+        angle = AngleRep(b.from_rational(-1), zero, 180.0)
         return Decomposition(Kind.POINT_INVERSION, None, angle, det, res)
-    if det == 1:  # cos = -1: rotation by pi, M = 2A - I
-        proj = (M + eye).scale(half)
-        u = _axis_from_projection(proj, b)
-        angle = AngleRep(-one, zero, 180.0)
-        return Decomposition(Kind.ROTATION, UnitAxis(u), angle, det, res)
-    # det = -1, cos = +1: reflection, M = I - 2A
-    proj = (eye - M).scale(half)
-    u = _axis_from_projection(proj, b)
-    angle = AngleRep(one, zero, 0.0)
-    return Decomposition(Kind.REFLECTION, UnitAxis(u), angle, det, res)
+    if not b.eq(cos, -det):
+        raise NotOrthogonal(res)
+    # the half-turn (det = 1, M = 2A - I) or the mirror (det = -1, M = I - 2A):
+    # either way A = (det*M + I)/2
+    proj = ((M if det == 1 else -M) + Mat3.identity()).scale(half)
+    kind = Kind.ROTATION if det == 1 else Kind.REFLECTION
+    angle = AngleRep(b.from_rational(-det), zero, 180.0 if det == 1 else 0.0)
+    return Decomposition(kind, UnitAxis(_axis_from_projection(proj, b)), angle, det, res)
 
 
 def rebuild(dec: Decomposition, backend=None) -> Mat3:
@@ -357,38 +344,22 @@ def _canonical_flip(u: Vec3, sin, b):
     raise ZeroAxis("axis vanished during canonicalization")
 
 
-def _float_stable_axis(M: Mat3, m: Vec3, sin_mag, cos, det: int, b):
-    """Axis from the symmetric part when the antisymmetric route is shaky.
+def _symmetric_axis(M: Mat3, cos, det: int, b) -> Vec3:
+    """Axis read off the rank-1 projection hidden in (M + M^t)/2.
 
-    Dividing m by a small |sin| amplifies input noise, so once the turn is
-    closer to the half-turn (rotations, cos < 0) or to the plain mirror
-    (rotoreflections, cos > 0) the axis is read off the rank-1 projection
-    hidden in (M + M^t)/2, which stays well-conditioned exactly there.
-    Returns None when the antisymmetric route is the better-conditioned one
-    (always, in the exact backend: it yields the closed-form axis).
+    Dividing the antisymmetric part by a small |sin| amplifies noise; this
+    route stays well-conditioned near the half-turn (rotations) and near the
+    plain mirror (rotoreflections).
     """
-    if b.mode != "float":
-        return None
     eye = Mat3.identity()
-    sym = (M + M.transpose()).scale(0.5)
-    if det == 1 and cos < 0.0:
+    sym = (M + M.transpose()).scale(b.from_rational(Fraction(1, 2)))
+    if det == 1:
         # M_sym = I + (cos - 1)(I - A)
-        proj = eye - (eye - sym).scale(1.0 / (1.0 - cos))
-    elif det == -1 and cos > 0.0:
-        # M_sym = I - 2A + (cos - 1)(I - A)
-        proj = (eye.scale(cos) - sym).scale(1.0 / (1.0 + cos))
+        proj = eye - (eye - sym).scale(1 / (1 - cos))
     else:
-        return None
+        # M_sym = I - 2A + (cos - 1)(I - A)
+        proj = (eye.scale(cos) - sym).scale(1 / (1 + cos))
     return _axis_from_projection(proj, b)
-
-
-def _check_pair_consistency(cos, sin, b, res: float) -> None:
-    value = cos * cos + sin * sin
-    if b.mode == "float":
-        if abs(value - 1.0) > 100 * b.tol:
-            raise NotOrthogonal(res)
-    elif not b.eq(value, 1):
-        raise NotOrthogonal(res)
 
 
 def _axis_from_projection(proj: Mat3, b) -> Vec3:

@@ -3,8 +3,13 @@
 Entries are whatever the scalar backend works over: Python floats for the
 float backend, or ints / Fractions / :class:`TowerElem` for the exact one.
 All the geometry above this module is written once against the arithmetic
-operators plus the small backend protocol below (equality, sign, square
-root, float conversion).
+operators plus this backend protocol: ``from_rational``, ``eq``, ``is_zero``,
+``lt``, ``sign``, ``sqrt`` (may extend the exact tower), ``to_float``, and the
+float-only policies ``is_finite`` (NaN/inf), ``clamp_unit`` (a derived cosine
+into [-1, 1]), ``eq_loose`` (100x tolerance for the (cos, sin) pair that
+``classify`` derives) and ``prefers_symmetric_axis`` (the axis route that is
+better conditioned near sin = 0).  The exact backend answers those four with
+True, identity, ``==`` and False, so exact results never meet a tolerance.
 """
 
 from __future__ import annotations
@@ -79,10 +84,6 @@ class Mat3:
         return cls((1, 0, 0, 0, 1, 0, 0, 0, 1))
 
     @classmethod
-    def zero(cls) -> Mat3:
-        return cls((0,) * 9)
-
-    @classmethod
     def diag(cls, a, b, c) -> Mat3:
         return cls((a, 0, 0, 0, b, 0, 0, 0, c))
 
@@ -93,9 +94,6 @@ class Mat3:
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
         return self.entries[3 * i + j]
-
-    def row(self, i: int) -> Vec3:
-        return Vec3(*self.entries[3 * i : 3 * i + 3])
 
     def col(self, j: int) -> Vec3:
         return Vec3(self.entries[j], self.entries[3 + j], self.entries[6 + j])
@@ -167,8 +165,6 @@ def outer(u: Vec3, v: Vec3) -> Mat3:
 class FloatBackend:
     """IEEE-double scalars with an absolute comparison tolerance."""
 
-    mode = "float"
-
     def __init__(self, tol: float = 1e-9):
         self.tol = tol
 
@@ -196,14 +192,25 @@ class FloatBackend:
     def lt(self, a, b) -> bool:
         return a < b
 
+    def is_finite(self, a) -> bool:
+        return math.isfinite(a)
+
+    def clamp_unit(self, a) -> float:
+        return min(1.0, max(-1.0, a))
+
+    def eq_loose(self, a, b) -> bool:
+        return abs(a - b) <= 100 * self.tol
+
+    def prefers_symmetric_axis(self, det: int, cos) -> bool:
+        # nearer the half-turn (rotations) or the mirror (rotoreflections)
+        return cos < 0.0 if det == 1 else cos > 0.0
+
     def __repr__(self) -> str:
         return f"FloatBackend(tol={self.tol})"
 
 
 class ExactBackend:
     """Tower-exact scalars: ints, Fractions and TowerElems, bit-exact equality."""
-
-    mode = "exact"
 
     def from_rational(self, x):
         return Fraction(x)
@@ -233,6 +240,18 @@ class ExactBackend:
         if isinstance(a, TowerElem) or isinstance(b, TowerElem):
             return self.sign(self._elem(a) - b) < 0
         return a < b
+
+    def is_finite(self, a) -> bool:
+        return True
+
+    def clamp_unit(self, a):
+        return a
+
+    def eq_loose(self, a, b) -> bool:
+        return a == b
+
+    def prefers_symmetric_axis(self, det: int, cos) -> bool:
+        return False
 
     def __repr__(self) -> str:
         return "ExactBackend()"

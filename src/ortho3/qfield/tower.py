@@ -231,25 +231,19 @@ def _square_part(n: int) -> tuple[int, int]:
 class TowerField:
     """Immutable chain of quadratic adjunctions over Q.
 
-    Level ``i`` stores its radicand as a depth-``i`` coefficient tree together
-    with a float approximation of the adjoined square root.  Fields are value
-    objects: equal radicand lists mean the same field, and a shorter list that
-    prefixes a longer one embeds into it.
+    Level ``i`` stores its radicand as a depth-``i`` coefficient tree.  Fields
+    are value objects: equal radicand lists mean the same field, and a shorter
+    list that prefixes a longer one embeds into it.
     """
 
-    __slots__ = ("_radicands", "_approx")
+    __slots__ = ("_radicands",)
 
-    def __init__(self, radicands: tuple = (), approx: tuple = ()):
+    def __init__(self, radicands: tuple = ()):
         self._radicands = radicands
-        self._approx = approx
 
     @property
     def depth(self) -> int:
         return len(self._radicands)
-
-    @property
-    def radicand_trees(self) -> tuple:
-        return self._radicands
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TowerField):
@@ -286,14 +280,7 @@ class TowerField:
         return [self.generator(i) for i in range(self.depth)]
 
     def extend(self, radicand_tree) -> TowerField:
-        iv = _eval_tree(radicand_tree, self.depth, _generator_intervals(self._radicands, 64))
-        return TowerField(
-            self._radicands + (radicand_tree,),
-            self._approx + (float(sqrt_interval(iv, 64).midpoint),),
-        )
-
-    def generator_approx(self, i: int) -> float:
-        return self._approx[i]
+        return TowerField(self._radicands + (radicand_tree,))
 
     def __repr__(self) -> str:
         if not self._radicands:

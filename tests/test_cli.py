@@ -8,6 +8,7 @@ from support import (
 )
 
 from ortho3 import parse_scalar
+from ortho3.cli import format_degrees_minutes
 from ortho3.qfield.tower import QQ
 
 IDENTITY_DOC = '{"mode":"float","matrix":[[1,0,0],[0,1,0],[0,0,1]]}'
@@ -129,16 +130,52 @@ def test_rotoreflect_quarter_turn():
 
 
 # ---------------------------------------------------------------------------
+# default (plain-text) matrix output
+# ---------------------------------------------------------------------------
+
+def test_build_plain_text_output():
+    quarter_float = [
+        "1.11022302463e-16               -1.0                0.0",
+        "              1.0  1.11022302463e-16                0.0",
+    ]
+    cases = [
+        (["rotate", "0 0 1", "--angle-deg", "90"],
+         quarter_float + ["              0.0                0.0                1.0"]),
+        (["rotoreflect", "0 0 1", "--angle-deg", "90"],
+         quarter_float + ["              0.0                0.0               -1.0"]),
+        (["reflect", "1 1 0"], [
+            "2.22044604925e-16               -1.0                0.0",
+            "             -1.0  2.22044604925e-16                0.0",
+            "              0.0                0.0                1.0",
+        ]),
+        (["--mode", "exact", "rotate", "1 2 2", "--cos", "3/5", "--sin", "4/5"], [
+            "29/45   -4/9  28/45",
+            "28/45    7/9  -4/45",
+            " -4/9    4/9    7/9",
+        ]),
+        (["--mode", "exact", "reflect", "1 1 0"], [" 0  -1   0", "-1   0   0", " 0   0   1"]),
+        (["--mode", "exact", "rotoreflect", "0 0 1", "--cos", "0", "--sin", "1"],
+         [" 0  -1   0", " 1   0   0", " 0   0  -1"]),
+    ]
+    for argv, rows in cases:
+        code, out, err = run_cli(argv)
+        assert code == 0, (argv, err)
+        assert out == "\n".join(rows) + "\n", argv
+
+
+# ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
 
 def test_classify_inline_identity():
-    code, out, err = run_cli(["--json", "classify", IDENTITY_DOC])
-    assert code == 0, err
-    rep = json.loads(out)
-    assert rep["kind"] == "identity"
-    assert rep["axis"] is None and rep["angle_deg"] is None
-    assert rep["det"] == 1
+    exact_int_doc = '{"mode":"exact","matrix":[[1,0,0],[0,1,0],[0,0,1]]}'
+    for doc in (IDENTITY_DOC, exact_int_doc):
+        code, out, err = run_cli(["--json", "classify", doc])
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["kind"] == "identity"
+        assert rep["axis"] is None and rep["angle_deg"] is None
+        assert rep["det"] == 1
 
 
 def test_classify_reference_document():
@@ -219,6 +256,9 @@ def test_classify_human_and_json_share_numbers():
 def test_classify_degree_minute_rendering():
     _, out, _ = run_cli(["classify", reference_rotation_document()])
     assert "193° 19′" in out
+    # the minute carry folds 360 to 0
+    assert format_degrees_minutes(359.9999) == "0° 0′"
+    assert format_degrees_minutes(359.99) == "359° 59′"
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +279,23 @@ def test_invariants_mirror():
     code, out, _ = run_cli(["--json", "invariants", doc])
     rep = json.loads(out)
     assert rep["trace"] == 1 and rep["det"] == -1
+    code, out, _ = run_cli(["invariants", doc])
+    assert code == 0
+    assert out == "det:      -1.0\ntrace:    1.0\nresidual: 0.0\n"
+
+
+def test_invariants_exact_plain_text_with_int_entries():
+    doc = json.dumps(
+        {"mode": "exact", "scale": "1/sqrt(2)",
+         "matrix": [[1, -1, 0], [1, 1, 0], [0, 0, "sqrt(2)"]]}
+    )
+    code, out, err = run_cli(["invariants", doc])
+    assert code == 0, err
+    assert out == (
+        "det:      1.0  = 1\n"
+        "trace:    2.41421356237  = (1 + sqrt(2))\n"
+        "residual: 0.0\n"
+    )
 
 
 def test_invariants_identity():
@@ -383,3 +440,49 @@ def test_exact_document_expression_scale_and_classify_point_inversion():
 def test_help_exits_zero():
     code, out, _ = run_cli(["--help"])
     assert code == 0
+
+
+def test_non_finite_axis_or_normal_is_an_input_error():
+    for argv in (
+        ["rotate", "nan 0 0", "--angle-deg", "90"],
+        ["rotate", "inf 0 0", "--angle-deg", "90"],
+        ["rotoreflect", "0 -inf 1", "--angle-deg", "90"],
+        ["reflect", "nan 0 0"],
+        ["reflect", f"sqrt({10**700}) 0 1"],  # beyond the float range
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and "finite" in err, argv
+
+
+def test_non_finite_angle_deg_names_the_flag():
+    for value in ("nan", "inf", "-inf"):
+        code, _, err = run_cli(["rotate", "0 0 1", f"--angle-deg={value}"])
+        assert code == 3, value
+        assert "--angle-deg" in err and "--cos" not in err, value
+
+
+def test_non_finite_float_document_is_an_input_error():
+    ident = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    docs = [
+        {"mode": "float", "matrix": [[math.nan, 0.0, 0.0], ident[1], ident[2]]},
+        {"mode": "float", "matrix": [ident[0], [0.0, math.inf, 0.0], ident[2]]},
+        {"mode": "float", "scale": math.nan, "matrix": ident},
+        {"mode": "float", "scale": -math.inf, "matrix": ident},
+        {"mode": "float", "scale": [2], "matrix": ident},
+        {"mode": "float", "scale": f"sqrt({10**700})", "matrix": ident},
+        {"mode": "float", "matrix": [[10**400, 0, 0], ident[1], ident[2]]},
+    ]
+    for doc in docs:
+        for command in ("classify", "invariants"):
+            code, out, err = run_cli([command, json.dumps(doc)])
+            assert code == 2, (command, doc)
+            assert out == "" and err.startswith("error: "), (command, doc)
+
+
+def test_non_unit_axis_after_normalization_is_an_input_error():
+    # with a zero tolerance the rounded normalized axis fails the unit check
+    for axis in ("1 1 1", "3 5 7", "0.1 0.7 0.3"):
+        code, out, err = run_cli(["--tol", "0", "rotate", axis, "--angle-deg", "30"])
+        assert code == 2, axis
+        assert out == "" and err.startswith("error: ") and "norm^2" in err, axis

@@ -25,6 +25,7 @@ from ortho3 import (
     NotOrthogonal,
     UnitAxis,
     Vec3,
+    ZeroAxis,
     classify,
     complete_orthonormal_basis,
     cross_matrix,
@@ -484,6 +485,8 @@ def test_angle_from_degrees_normalizes():
     ang = AngleRep.from_degrees(-90.0)
     assert ang.degrees == 270.0
     assert abs(ang.sin_alpha + 1.0) <= 1e-15
+    # -1e-20 % 360 rounds to 360.0, which must fold to 0
+    assert AngleRep.from_degrees(-1e-20).degrees == 0.0
 
 
 def test_angle_from_pair_validates_and_fills_degrees():
@@ -498,6 +501,24 @@ def test_unit_axis_from_vec_validates():
     UnitAxis.from_vec(Vec3(Fraction(3, 5), 0, Fraction(4, 5)))
     with pytest.raises(NonUnitAxis):
         UnitAxis.from_vec(Vec3(1, 1, 1))
+
+
+def test_unit_axis_normalize_rejects_non_finite_norm():
+    # NaN, inf, and finite components whose norm^2 overflows
+    for v in (Vec3(math.nan, 0.0, 0.0), Vec3(0.0, math.inf, 0.0), Vec3(1e200, 0.0, 0.0)):
+        with pytest.raises(ZeroAxis):
+            UnitAxis.normalize(v, FB)
+
+
+def test_classify_tiny_negative_angle_reads_0_degrees():
+    # exact rotation about e3 by the tiny negative angle with t = -1e-20:
+    # cos = (1 - t^2)/(1 + t^2), sin = 2t/(1 + t^2)
+    t = Fraction(-1, 10**20)
+    ang = AngleRep((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+    dec = classify(rotation_matrix(UnitAxis(Vec3(0, 0, 1)), ang, EB), EB)
+    assert dec.kind is Kind.ROTATION
+    assert EB.sign(dec.angle.sin_alpha) < 0
+    assert dec.angle.degrees == 0.0
 
 
 def test_unit_axis_normalize_extends_tower():

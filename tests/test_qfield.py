@@ -335,8 +335,6 @@ def test_field_repr_and_generator_approx():
     field = _pq_field()
     text = repr(field)
     assert "2" in text and "3" in text
-    assert abs(field.generator_approx(0) - math.sqrt(2)) <= 1e-9
-    assert abs(field.generator_approx(1) - math.sqrt(3)) <= 1e-9
     assert repr(QQ) == "TowerField(Q)"
 
 
