@@ -244,7 +244,7 @@ def _cmd_build(ns, mode, tol, digits, json_out, *, reflect: bool, roto: bool) ->
     try:
         axis = UnitAxis.normalize(v, backend)
     except ZeroAxis:
-        raise ZeroAxis(f"{flag}: zero {'normal' if reflect else 'axis'} vector")
+        raise ZeroAxis(f"{flag}: zero {flag} vector")
     if mode == "exact":
         # normalization may have extended the tower; keep parsing in it
         for comp in axis.vec:
@@ -331,7 +331,7 @@ def _document_matrix(doc: dict, tol: float):
         for e in row:
             if isinstance(e, str):
                 elem = parse_scalar(e, field)
-            elif isinstance(e, int):
+            elif isinstance(e, int) and not isinstance(e, bool):
                 elem = field.rational(e)
             else:
                 raise _InputError("exact-mode entries must be expression strings")

@@ -59,11 +59,13 @@ class UnitAxis:
         """Scale an arbitrary nonzero vector to unit length.
 
         In the exact backend the needed square root may extend the tower.
-        Only the exactly-zero vector and a NaN or infinite norm^2 are
-        rejected: a tiny vector still names a direction and normalizes
+        Only the exactly-zero vector and a NaN or infinite component are
+        rejected: a float vector is first rescaled by a power of two, so a
+        huge or tiny vector still names a direction and normalizes
         accurately.
         """
         b = backend or infer_backend(tuple(v))
+        v = b.balance(v)
         norm2 = v.dot(v)
         if norm2 == 0 or not b.is_finite(norm2):
             raise ZeroAxis(f"axis vector with norm^2 {norm2!r} cannot be normalized")

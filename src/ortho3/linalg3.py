@@ -5,11 +5,13 @@ float backend, or ints / Fractions / :class:`TowerElem` for the exact one.
 All the geometry above this module is written once against the arithmetic
 operators plus this backend protocol: ``from_rational``, ``eq``, ``is_zero``,
 ``lt``, ``sign``, ``sqrt`` (may extend the exact tower), ``to_float``, and the
-float-only policies ``is_finite`` (NaN/inf), ``clamp_unit`` (a derived cosine
-into [-1, 1]), ``eq_loose`` (100x tolerance for the (cos, sin) pair that
-``classify`` derives) and ``prefers_symmetric_axis`` (the axis route that is
-better conditioned near sin = 0).  The exact backend answers those four with
-True, identity, ``==`` and False, so exact results never meet a tolerance.
+float-only policies ``is_finite`` (NaN/inf), ``balance`` (an exact power-of-two
+rescaling so that a vector's norm^2 neither overflows nor underflows),
+``clamp_unit`` (a derived cosine into [-1, 1]), ``eq_loose`` (100x tolerance
+for the (cos, sin) pair that ``classify`` derives) and
+``prefers_symmetric_axis`` (the axis route that is better conditioned near
+sin = 0).  The exact backend answers those five with True, identity,
+identity, ``==`` and False, so exact results never meet a tolerance.
 """
 
 from __future__ import annotations
@@ -195,6 +197,17 @@ class FloatBackend:
     def is_finite(self, a) -> bool:
         return math.isfinite(a)
 
+    def balance(self, v: Vec3) -> Vec3:
+        """``v`` itself while its largest component lies in [2^-510, 2^509),
+        so that its norm^2 is a normal float; otherwise ``v`` times the power
+        of two that brings that component into [0.5, 1).  The scaling rounds
+        only components it pushes below the normal range, which are
+        negligible beside the largest."""
+        _, e = math.frexp(max(abs(v.x), abs(v.y), abs(v.z)))
+        if abs(e) < 510:
+            return v
+        return Vec3(*(math.ldexp(c, -e) for c in v))
+
     def clamp_unit(self, a) -> float:
         return min(1.0, max(-1.0, a))
 
@@ -243,6 +256,9 @@ class ExactBackend:
 
     def is_finite(self, a) -> bool:
         return True
+
+    def balance(self, v: Vec3) -> Vec3:
+        return v
 
     def clamp_unit(self, a):
         return a

@@ -1,11 +1,15 @@
 """Exact arithmetic in towers of real quadratic extensions Q(sqrt(d1))(sqrt(d2))...
 
-An element of a depth-k tower is stored as a binary coefficient tree: a
-Fraction at depth 0, and a pair ``(lo, hi)`` meaning ``lo + hi*sqrt(d)`` at
-each deeper level, where ``d`` is that level's radicand (itself an element of
-the field below).  Because each radicand is kept non-square in the field
-below it, the tree is a canonical coordinate vector: two elements of the same
-tower are equal iff their trees are identical.
+An element of a depth-k tower is stored as one tuple of its 2^k rational
+coordinates in binary-counting monomial order: bit i of an index says whether
+sqrt(d_i) is a factor of that monomial, so ``(1, 2, 3, 4)`` over
+Q(sqrt(2))(sqrt(3)) is ``1 + 2*sqrt(2) + 3*sqrt(3) + 4*sqrt(2)*sqrt(3)``.
+Level i's radicand is stored the same way, as the 2^i coordinates of an
+element of the field below.  Writing the top generator as ``g``, the first
+half of a tuple is the part without ``g`` and the second half its
+coefficient: ``x = x[:h] + x[h:]*g``.  Because each radicand is kept
+non-square in the field below it, the coordinates are canonical: two elements
+of the same tower are equal iff their tuples are identical.
 
 Numeric questions (signs, approximations) are answered through certified
 rational interval arithmetic, with precision doubling from 128 up to 4096
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add, neg, sub
 
 from ..errors import (
     DivisionByZero,
@@ -29,110 +34,77 @@ from .interval import Interval, sqrt_interval
 _MIN_EVAL_BITS = 32
 _SIGN_START_BITS = 128
 _SIGN_CAP_BITS = 4096
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# raw tree arithmetic
+# raw coordinate arithmetic
 # ---------------------------------------------------------------------------
 
-def _zero_tree(depth: int):
-    if depth == 0:
-        return Fraction(0)
-    sub = _zero_tree(depth - 1)
-    return (sub, sub)
+def _add(x, y):
+    return tuple(map(add, x, y))
 
 
-def _rational_tree(x: Fraction, depth: int):
-    if depth == 0:
-        return x
-    return (_rational_tree(x, depth - 1), _zero_tree(depth - 1))
+def _neg(x):
+    return tuple(map(neg, x))
 
 
-def _lift_tree(tree, from_depth: int, to_depth: int):
-    for d in range(from_depth, to_depth):
-        tree = (tree, _zero_tree(d))
-    return tree
+def _sub(x, y):
+    return tuple(map(sub, x, y))
 
 
-def _is_zero_tree(tree, depth: int) -> bool:
-    if depth == 0:
-        return tree == 0
-    return _is_zero_tree(tree[0], depth - 1) and _is_zero_tree(tree[1], depth - 1)
+def _scale(x, c: Fraction):
+    return tuple(a * c for a in x)
 
 
-def _add(x, y, depth: int):
-    if depth == 0:
-        return x + y
-    return (_add(x[0], y[0], depth - 1), _add(x[1], y[1], depth - 1))
+def _mul(x, y, rads):
+    """Product by halves: (x0 + x1*g)(y0 + y1*g) with g^2 the top radicand."""
+    h = len(x) >> 1
+    if h == 0:
+        return (x[0] * y[0],)
+    if h == 1:
+        # the first radicand is always rational: unrolled for speed
+        (x0, x1), (y0, y1) = x, y
+        return (x0 * y0 + x1 * y1 * rads[0][0], x0 * y1 + x1 * y0)
+    x0, x1, y0, y1 = x[:h], x[h:], y[:h], y[h:]
+    rad = rads[h.bit_length() - 1]
+    lo = _add(_mul(x0, y0, rads), _mul(_mul(x1, y1, rads), rad, rads))
+    hi = _add(_mul(x0, y1, rads), _mul(x1, y0, rads))
+    return lo + hi
 
 
-def _neg(x, depth: int):
-    if depth == 0:
-        return -x
-    return (_neg(x[0], depth - 1), _neg(x[1], depth - 1))
-
-
-def _sub(x, y, depth: int):
-    return _add(x, _neg(y, depth), depth)
-
-
-def _mul(x, y, depth: int, rads):
-    if depth == 0:
-        return x * y
-    d = depth - 1
-    rad = rads[d]
-    lo = _add(_mul(x[0], y[0], d, rads), _mul(_mul(x[1], y[1], d, rads), rad, d, rads), d)
-    hi = _add(_mul(x[0], y[1], d, rads), _mul(x[1], y[0], d, rads), d)
-    return (lo, hi)
-
-
-def _scale(x, c: Fraction, depth: int):
-    if depth == 0:
-        return x * c
-    return (_scale(x[0], c, depth - 1), _scale(x[1], c, depth - 1))
-
-
-def _inv(x, depth: int, rads):
-    if depth == 0:
-        if x == 0:
+def _inv(x, rads):
+    h = len(x) >> 1
+    if h == 0:
+        if not x[0]:
             raise DivisionByZero("inverse of zero")
-        return 1 / x
-    d = depth - 1
-    a, b = x
-    if _is_zero_tree(b, d):
-        if _is_zero_tree(a, d):
+        return (1 / x[0],)
+    a, b = x[:h], x[h:]
+    if not any(b):
+        if not any(a):
             raise DivisionByZero("inverse of zero")
-        return (_inv(a, d, rads), _zero_tree(d))
+        return _inv(a, rads) + b
     # (a + b*sqrt(r))^-1 = (a - b*sqrt(r)) / (a^2 - b^2*r)
-    norm = _sub(_mul(a, a, d, rads), _mul(_mul(b, b, d, rads), rads[d], d, rads), d)
-    if _is_zero_tree(norm, d):
+    rad = rads[h.bit_length() - 1]
+    norm = _sub(_mul(a, a, rads), _mul(_mul(b, b, rads), rad, rads))
+    if not any(norm):
         raise InvalidTower("conjugate norm vanished: radicand is a square below")
-    ninv = _inv(norm, d, rads)
-    return (_mul(a, ninv, d, rads), _neg(_mul(b, ninv, d, rads), d))
+    ninv = _inv(norm, rads)
+    return _mul(a, ninv, rads) + _neg(_mul(b, ninv, rads))
 
 
-def _flatten(tree, depth: int, out: list):
-    """Coefficients in binary-counting monomial order (bit i = generator i)."""
-    if depth == 0:
-        out.append(tree)
-        return out
-    _flatten(tree[0], depth - 1, out)
-    _flatten(tree[1], depth - 1, out)
-    return out
-
-
-def _eval_tree(tree, depth: int, gens: list[Interval]) -> Interval:
-    if depth == 0:
-        return Interval.point(tree)
-    lo = _eval_tree(tree[0], depth - 1, gens)
-    hi = _eval_tree(tree[1], depth - 1, gens)
-    return lo + hi * gens[depth - 1]
+def _eval(x, gens: list[Interval]) -> Interval:
+    h = len(x) >> 1
+    if h == 0:
+        return Interval.point(x[0])
+    return _eval(x[:h], gens) + _eval(x[h:], gens) * gens[h.bit_length() - 1]
 
 
 def _generator_intervals(rads, bits: int) -> list[Interval]:
     gens: list[Interval] = []
-    for i, rad in enumerate(rads):
-        gens.append(sqrt_interval(_eval_tree(rad, i, gens), bits))
+    for rad in rads:
+        gens.append(sqrt_interval(_eval(rad, gens), bits))
     return gens
 
 
@@ -150,48 +122,49 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def _sqrt_in_field(tree, depth: int, rads):
-    """An exact square root of ``tree`` inside its own field, or None.
+def _sqrt_in_field(x, rads):
+    """An exact square root of ``x`` inside its own field, or None.
 
-    Recursive descent over x + y*g with g the top generator: either y = 0
-    (root is lower-level, or a lower-level multiple of g), or the root's
-    lower component solves 4t^2 - 4*a_lo*t + a_hi^2*d = 0, whose discriminant
-    must itself be a square one level down.  Every candidate is verified by
-    squaring, so a degenerate tower can only cause a miss, never a bad hit.
+    Recursive descent over a_lo + a_hi*g with g the top generator: either
+    a_hi = 0 (root is lower-level, or a lower-level multiple of g), or the
+    root's lower component solves 4t^2 - 4*a_lo*t + a_hi^2*d = 0, whose
+    discriminant must itself be a square one level down.  Every candidate is
+    verified by squaring, so a degenerate tower can only cause a miss, never
+    a bad hit.
     """
-    if depth == 0:
-        return _rational_sqrt(tree)
-    d = depth - 1
-    a_lo, a_hi = tree
-    rad = rads[d]
-    if _is_zero_tree(a_hi, d):
-        r = _sqrt_in_field(a_lo, d, rads)
+    h = len(x) >> 1
+    if h == 0:
+        r = _rational_sqrt(x[0])
+        return None if r is None else (r,)
+    a_lo, a_hi = x[:h], x[h:]
+    rad = rads[h.bit_length() - 1]
+    if not any(a_hi):
+        r = _sqrt_in_field(a_lo, rads)
         if r is not None:
-            return (r, _zero_tree(d))
+            return r + a_hi
         try:
-            quot = _mul(a_lo, _inv(rad, d, rads), d, rads)
+            quot = _mul(a_lo, _inv(rad, rads), rads)
         except (DivisionByZero, InvalidTower):
             return None
-        r = _sqrt_in_field(quot, d, rads)
+        r = _sqrt_in_field(quot, rads)
         if r is not None:
-            return (_zero_tree(d), r)
+            return a_hi + r
         return None
-    disc = _sub(_mul(a_lo, a_lo, d, rads), _mul(_mul(a_hi, a_hi, d, rads), rad, d, rads), d)
-    t = _sqrt_in_field(disc, d, rads)
+    disc = _sub(_mul(a_lo, a_lo, rads), _mul(_mul(a_hi, a_hi, rads), rad, rads))
+    t = _sqrt_in_field(disc, rads)
     if t is None:
         return None
     half = Fraction(1, 2)
-    for root in (t, _neg(t, d)):
-        x_sq = _scale(_add(a_lo, root, d), half, d)
-        x = _sqrt_in_field(x_sq, d, rads)
-        if x is None or _is_zero_tree(x, d):
+    for root in (t, _neg(t)):
+        lo = _sqrt_in_field(_scale(_add(a_lo, root), half), rads)
+        if lo is None or not any(lo):
             continue
         try:
-            y = _scale(_mul(a_hi, _inv(x, d, rads), d, rads), half, d)
+            hi = _scale(_mul(a_hi, _inv(lo, rads), rads), half)
         except (DivisionByZero, InvalidTower):
             continue
-        cand = (x, y)
-        if _is_zero_tree(_sub(_mul(cand, cand, depth, rads), tree, depth), depth):
+        cand = lo + hi
+        if not any(_sub(_mul(cand, cand, rads), x)):
             return cand
     return None
 
@@ -231,7 +204,7 @@ def _square_part(n: int) -> tuple[int, int]:
 class TowerField:
     """Immutable chain of quadratic adjunctions over Q.
 
-    Level ``i`` stores its radicand as a depth-``i`` coefficient tree.  Fields
+    Level ``i`` stores its radicand as a tuple of 2^i coordinates.  Fields
     are value objects: equal radicand lists mean the same field, and a shorter
     list that prefixes a longer one embeds into it.
     """
@@ -256,8 +229,12 @@ class TowerField:
     def is_prefix_of(self, other: TowerField) -> bool:
         return self._radicands == other._radicands[: self.depth]
 
+    def _padded(self, coords: tuple) -> TowerElem:
+        """The element of this field whose leading coordinates are ``coords``."""
+        return TowerElem(self, coords + (_ZERO,) * ((1 << self.depth) - len(coords)))
+
     def rational(self, x) -> TowerElem:
-        return TowerElem(self, _rational_tree(Fraction(x), self.depth))
+        return self._padded((Fraction(x),))
 
     @property
     def zero(self) -> TowerElem:
@@ -269,25 +246,24 @@ class TowerField:
 
     def generator(self, i: int) -> TowerElem:
         """sqrt(d_i) as an element of this field."""
-        tree = (_zero_tree(i), _rational_tree(Fraction(1), i))
-        return TowerElem(self, _lift_tree(tree, i + 1, self.depth))
+        return self._padded((_ZERO,) * (1 << i) + (_ONE,))
 
     def radicand(self, i: int) -> TowerElem:
         """d_i lifted into this field."""
-        return TowerElem(self, _lift_tree(self._radicands[i], i, self.depth))
+        return self._padded(self._radicands[i])
 
     def generators(self) -> list[TowerElem]:
         return [self.generator(i) for i in range(self.depth)]
 
-    def extend(self, radicand_tree) -> TowerField:
-        return TowerField(self._radicands + (radicand_tree,))
+    def extend(self, radicand: tuple) -> TowerField:
+        """This field with sqrt(radicand) adjoined; ``radicand`` is the
+        coordinate tuple of a non-square element of this field."""
+        return TowerField(self._radicands + (radicand,))
 
     def __repr__(self) -> str:
         if not self._radicands:
             return "TowerField(Q)"
-        rads = ", ".join(
-            _render_tree(rad, i, self._radicands) for i, rad in enumerate(self._radicands)
-        )
+        rads = ", ".join(_render(rad, self._radicands) for rad in self._radicands)
         return f"TowerField(Q; {rads})"
 
 
@@ -301,26 +277,27 @@ class TowerElem:
     raise :class:`IncompatibleTowers` otherwise.  Ints and Fractions coerce.
     """
 
-    __slots__ = ("_field", "_tree")
+    __slots__ = ("_field", "_coords")
 
-    def __init__(self, field: TowerField, tree):
+    def __init__(self, field: TowerField, coords: tuple):
         self._field = field
-        self._tree = tree
+        self._coords = coords
 
     @property
     def field(self) -> TowerField:
         return self._field
 
     @property
-    def tree(self):
-        return self._tree
+    def tree(self) -> tuple:
+        """The coordinate tuple, in the order of :meth:`coefficients`."""
+        return self._coords
 
     def lift(self, field: TowerField) -> TowerElem:
         if self._field == field:
             return self
         if not self._field.is_prefix_of(field):
             raise IncompatibleTowers(f"cannot lift {self!r} into {field!r}")
-        return TowerElem(field, _lift_tree(self._tree, self._field.depth, field.depth))
+        return field._padded(self._coords)
 
     def _coerce(self, other) -> tuple[TowerElem, TowerElem] | None:
         if isinstance(other, (int, Fraction)):
@@ -342,7 +319,7 @@ class TowerElem:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return TowerElem(a._field, _add(a._tree, b._tree, a._field.depth))
+        return TowerElem(a._field, _add(a._coords, b._coords))
 
     __radd__ = __add__
 
@@ -351,27 +328,25 @@ class TowerElem:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return TowerElem(a._field, _sub(a._tree, b._tree, a._field.depth))
+        return TowerElem(a._field, _sub(a._coords, b._coords))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self) -> TowerElem:
-        return TowerElem(self._field, _neg(self._tree, self._field.depth))
+        return TowerElem(self._field, _neg(self._coords))
 
     def __mul__(self, other):
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        f = a._field
-        return TowerElem(f, _mul(a._tree, b._tree, f.depth, f._radicands))
+        return TowerElem(a._field, _mul(a._coords, b._coords, a._field._radicands))
 
     __rmul__ = __mul__
 
     def inverse(self) -> TowerElem:
-        f = self._field
-        return TowerElem(f, _inv(self._tree, f.depth, f._radicands))
+        return TowerElem(self._field, _inv(self._coords, self._field._radicands))
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -404,50 +379,42 @@ class TowerElem:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a._tree == b._tree
+        return a._coords == b._coords
 
     __hash__ = None  # equality lifts across fields; no consistent hash exists
 
     def is_zero(self) -> bool:
-        return _is_zero_tree(self._tree, self._field.depth)
+        return not any(self._coords)
 
     def is_rational(self) -> bool:
-        tree, depth = self._tree, self._field.depth
-        while depth:
-            if not _is_zero_tree(tree[1], depth - 1):
-                return False
-            tree, depth = tree[0], depth - 1
-        return True
+        return not any(self._coords[1:])
 
     def as_fraction(self) -> Fraction:
-        tree, depth = self._tree, self._field.depth
-        while depth:
-            if not _is_zero_tree(tree[1], depth - 1):
-                raise ValueError(f"{self} is not rational")
-            tree, depth = tree[0], depth - 1
-        return tree
+        if not self.is_rational():
+            raise ValueError(f"{self} is not rational")
+        return self._coords[0]
 
     def coefficients(self) -> list[Fraction]:
         """Rational coordinates in binary-counting monomial order."""
-        return _flatten(self._tree, self._field.depth, [])
+        return list(self._coords)
 
     def eval(self, bits: int = 128) -> Interval:
         """Certified enclosure of the real value at the given sqrt precision."""
         if bits < _MIN_EVAL_BITS:
             raise ValueError(f"precision must be at least {_MIN_EVAL_BITS} bits")
-        f = self._field
-        gens = _generator_intervals(f._radicands, bits)
-        return _eval_tree(self._tree, f.depth, gens)
+        return _eval(self._coords, _generator_intervals(self._field._radicands, bits))
 
     def sign(self) -> int:
         """Certified sign in {-1, 0, +1}.
 
-        Zero is decided exactly from the coefficient tree; otherwise the
-        interval enclosure is refined until it excludes zero.  Only a
-        degenerate tower (hidden square radicand) can exhaust the cap.
+        A rational element, zero included, is signed exactly from its
+        coordinates; otherwise the interval enclosure is refined until it
+        excludes zero.  Only a degenerate tower (hidden square radicand) can
+        exhaust the cap.
         """
-        if self.is_zero():
-            return 0
+        if self.is_rational():
+            c = self._coords[0]
+            return (c > 0) - (c < 0)
         bits = _SIGN_START_BITS
         while bits <= _SIGN_CAP_BITS:
             s = self.eval(bits).sign()
@@ -457,6 +424,8 @@ class TowerElem:
         raise Inconclusive(f"sign of {self} undecided at {_SIGN_CAP_BITS} bits")
 
     def to_float(self) -> float:
+        if self.is_rational():
+            return float(self._coords[0])
         return self.eval(128).to_float()
 
     __float__ = to_float
@@ -465,7 +434,7 @@ class TowerElem:
 
     def render(self) -> str:
         """Canonical text form; re-parses to an equal element of this field."""
-        return _render_tree(self._tree, self._field.depth, self._field._radicands)
+        return _render(self._coords, self._field._radicands)
 
     def __str__(self) -> str:
         return self.render()
@@ -482,16 +451,15 @@ def _strip_parens(s: str) -> str:
     return s[1:-1] if s.startswith("(") and s.endswith(")") else s
 
 
-def _render_tree(tree, depth: int, rads) -> str:
-    coeffs = _flatten(tree, depth, [])
+def _render(x, rads) -> str:
     terms: list[tuple[int, str]] = []
-    for index, c in enumerate(coeffs):
-        if c == 0:
+    for index, c in enumerate(x):
+        if not c:
             continue
         mag = -c if c < 0 else c
         radicals = [
-            f"sqrt({_strip_parens(_render_tree(rads[i], i, rads))})"
-            for i in range(depth)
+            f"sqrt({_strip_parens(_render(rad, rads))})"
+            for i, rad in enumerate(rads)
             if index >> i & 1
         ]
         if not radicals:
@@ -532,7 +500,7 @@ def sqrt(a: TowerElem) -> TowerElem:
         return f.zero
     if a.sign() < 0:
         raise NegativeRadicand(f"negative radicand {a}")
-    hit = _sqrt_in_field(a._tree, f.depth, f._radicands)
+    hit = _sqrt_in_field(a._coords, f._radicands)
     if hit is not None:
         root = TowerElem(f, hit)
         return root if root.sign() > 0 else -root
@@ -554,9 +522,9 @@ def sqrt(a: TowerElem) -> TowerElem:
 def _sqrt_radicand(a: TowerElem) -> TowerElem:
     """Root of an already-normalized radicand: in-field hit or one new level."""
     f = a.field
-    hit = _sqrt_in_field(a._tree, f.depth, f._radicands)
+    hit = _sqrt_in_field(a._coords, f._radicands)
     if hit is not None:
         root = TowerElem(f, hit)
         return root if root.sign() > 0 else -root
-    g = f.extend(a._tree)
+    g = f.extend(a._coords)
     return g.generator(g.depth - 1)

@@ -414,6 +414,13 @@ def test_float_document_rejects_string_entries():
     assert code == 2
 
 
+def test_exact_document_rejects_boolean_entries():
+    doc = '{"mode":"exact","matrix":[[true,0,0],[0,1,0],[0,0,1]]}'
+    code, out, err = run_cli(["classify", doc])
+    assert code == 2 and out == ""
+    assert "exact-mode entries must be expression strings" in err
+
+
 def test_exact_document_rejects_numeric_scale():
     doc = '{"mode":"exact","scale":2,"matrix":[["1","0","0"],["0","1","0"],["0","0","1"]]}'
     code, _, err = run_cli(["classify", doc])
@@ -453,6 +460,18 @@ def test_non_finite_axis_or_normal_is_an_input_error():
         code, out, err = run_cli(argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and "finite" in err, argv
+
+
+def test_huge_or_tiny_axis_or_normal_is_normalized():
+    for command, unit, rest in (
+        ("rotate", "1 0 0", ["--angle-deg", "30"]),
+        ("reflect", "0 0 1", []),
+    ):
+        _, want, _ = run_cli([command, unit, *rest])
+        for scale in ("1e200", "1e-160", "1e-200"):
+            vec = unit.replace("1", scale)
+            code, out, err = run_cli([command, vec, *rest])
+            assert (code, out, err) == (0, want, ""), vec
 
 
 def test_non_finite_angle_deg_names_the_flag():

@@ -504,10 +504,18 @@ def test_unit_axis_from_vec_validates():
 
 
 def test_unit_axis_normalize_rejects_non_finite_norm():
-    # NaN, inf, and finite components whose norm^2 overflows
-    for v in (Vec3(math.nan, 0.0, 0.0), Vec3(0.0, math.inf, 0.0), Vec3(1e200, 0.0, 0.0)):
+    for v in (Vec3(math.nan, 0.0, 0.0), Vec3(0.0, math.inf, 0.0)):
         with pytest.raises(ZeroAxis):
             UnitAxis.normalize(v, FB)
+
+
+def test_unit_axis_normalize_rescales_huge_and_tiny_vectors():
+    # norm^2 overflows (1e200), is subnormal (1e-160) or underflows to 0 (1e-200)
+    for x in (1e200, 1e-160, 1e-200):
+        assert tuple(UnitAxis.normalize(Vec3(x, 0.0, 0.0), FB).vec) == (1.0, 0.0, 0.0), x
+    for s in (1e-200, 1e300):
+        u = UnitAxis.normalize(Vec3(3 * s, 0.0, -4 * s), FB).vec
+        assert vec_max_diff(u, Vec3(0.6, 0.0, -0.8)) <= 1e-15, s
 
 
 def test_classify_tiny_negative_angle_reads_0_degrees():

@@ -15,7 +15,7 @@ from ortho3 import (
     parse_scalar,
     tower_sqrt,
 )
-from ortho3.qfield.tower import QQ, TowerField
+from ortho3.qfield.tower import QQ, TowerElem, TowerField
 
 
 def _pq_field() -> TowerField:
@@ -374,3 +374,53 @@ def test_interval_arithmetic_api():
         sqrt_interval(Interval(F(-2), F(-1)), 64)
     root = sqrt_interval(Interval(F(2), F(2)), 64)
     assert root.lo <= F(141421356237309504880, 10**20) <= root.hi
+
+
+def test_coefficients_are_in_binary_counting_monomial_order():
+    # bit i of a coordinate's index says whether sqrt(d_i) is a factor
+    x = parse_scalar("1 + 2*sqrt(2) + 3*sqrt(3) + 4*sqrt(2)*sqrt(3)")
+    assert x.coefficients() == [1, 2, 3, 4]
+
+
+def _xor_convolution(x, y, rads):
+    """Reference product over Q(sqrt(d_0), ..., sqrt(d_k-1)) with rational d_i:
+    monomials i and j multiply to monomial i ^ j times every d_k in i & j."""
+    c = [Fraction(0)] * len(x)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            term = xi * yj
+            for k, d in enumerate(rads):
+                if (i & j) >> k & 1:
+                    term *= d
+            c[i ^ j] += term
+    return c
+
+
+def test_products_match_xor_convolution_random():
+    rng = random.Random(20261018)
+    for depth in (1, 2, 3, 4):
+        for _ in range(5):
+            field = random_tower(rng, depth)
+            rads = [field.radicand(i).as_fraction() for i in range(depth)]
+            x, y = (
+                TowerElem(field, tuple(
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(1 << depth)
+                ))
+                for _ in range(2)
+            )
+            assert (x * y).coefficients() == _xor_convolution(x.tree, y.tree, rads)
+
+
+def test_rational_element_signs_without_interval_evaluation(monkeypatch):
+    field = random_tower(random.Random(3), 3)
+    values = [Fraction(-7, 3), Fraction(0), Fraction(10**30 + 1, 7)]
+    elems = [field.rational(v) for v in values]
+    floats = [e.eval(128).to_float() for e in elems]
+
+    def no_eval(self, bits=128):
+        raise AssertionError("rational element evaluated by intervals")
+
+    monkeypatch.setattr(TowerElem, "eval", no_eval)
+    for v, e, f in zip(values, elems, floats):
+        assert e.sign() == (v > 0) - (v < 0)
+        assert e.to_float() == f == float(v)
