@@ -321,6 +321,8 @@ def _document_matrix(doc: dict, tol: float):
         if any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in flat):
             raise _InputError("float-mode entries must be numbers")
         entries = [_finite(e, "matrix entry") for e in flat]
+        if isinstance(scale, bool):
+            raise _InputError("float-mode scale must be a number or an expression string")
         if scale is not None:
             s = _finite(parse_scalar(scale) if isinstance(scale, str) else scale, "scale")
             entries = [e * s for e in entries]

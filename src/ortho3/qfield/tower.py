@@ -11,6 +11,15 @@ coefficient: ``x = x[:h] + x[h:]*g``.  Because each radicand is kept
 non-square in the field below it, the coordinates are canonical: two elements
 of the same tower are equal iff their tuples are identical.
 
+Products run on integers: each operand's denominators are cleared once, the
+recursion by halves multiplies Python ints, using Karatsuba's identity for the
+cross term and a plain scale where a level's radicand is rational, and each
+result coordinate becomes a ``Fraction`` once at the end.  The kernel reads
+the radicands from :class:`TowerField`'s second copy, made once per field,
+whose coordinates are ints wherever their denominator is 1 (the radicands
+that :func:`sqrt` adjoins always are).  Each field also keeps its generators'
+interval enclosures per precision, so they are computed once.
+
 Numeric questions (signs, approximations) are answered through certified
 rational interval arithmetic, with precision doubling from 128 up to 4096
 bits before giving up with :class:`Inconclusive`.
@@ -59,19 +68,47 @@ def _scale(x, c: Fraction):
 
 
 def _mul(x, y, rads):
-    """Product by halves: (x0 + x1*g)(y0 + y1*g) with g^2 the top radicand."""
-    h = len(x) >> 1
-    if h == 0:
+    """Product of two coordinate tuples; ``rads`` is a field's ``_int_radicands``.
+
+    Each operand's denominators are cleared once (``x = xi/dx``), the product
+    runs on integers in :func:`_imul`, and each result coordinate is built
+    once as ``Fraction(z, dx*dy)``.
+    """
+    if len(x) == 1:
         return (x[0] * y[0],)
+    dx, xi = _cleared(x)
+    dy, yi = _cleared(y)
+    d = dx * dy
+    return tuple(Fraction(z, d) if z else _ZERO for z in _imul(xi, yi, rads))
+
+
+def _cleared(x):
+    """(d, xi) with xi the integer coordinates of d*x, d the common denominator."""
+    d = lcm(*(c.denominator for c in x))
+    return d, [c.numerator * (d // c.denominator) for c in x]
+
+
+def _imul(x, y, rads):
+    """(x0 + x1*g)(y0 + y1*g) on integer lists, g^2 the top radicand.
+
+    The cross term is Karatsuba's (x0+x1)(y0+y1) - x0*y0 - x1*y1, and a
+    rational radicand multiplies x1*y1 as a scale: 3 products per level, 4
+    when the radicand is not rational.
+    """
+    h = len(x) >> 1
     if h == 1:
-        # the first radicand is always rational: unrolled for speed
         (x0, x1), (y0, y1) = x, y
-        return (x0 * y0 + x1 * y1 * rads[0][0], x0 * y1 + x1 * y0)
+        return [x0 * y0 + x1 * y1 * rads[0][0], x0 * y1 + x1 * y0]
     x0, x1, y0, y1 = x[:h], x[h:], y[:h], y[h:]
+    p0 = _imul(x0, y0, rads)
+    p1 = _imul(x1, y1, rads)
+    hi = [m - a - b for m, a, b in zip(
+        _imul(list(map(add, x0, x1)), list(map(add, y0, y1)), rads), p0, p1)]
     rad = rads[h.bit_length() - 1]
-    lo = _add(_mul(x0, y0, rads), _mul(_mul(x1, y1, rads), rad, rads))
-    hi = _add(_mul(x0, y1, rads), _mul(x1, y0, rads))
-    return lo + hi
+    if any(rad[1:]):
+        return list(map(add, p0, _imul(p1, rad, rads))) + hi
+    r = rad[0]
+    return [a + b * r for a, b in zip(p0, p1)] + hi
 
 
 def _inv(x, rads):
@@ -99,13 +136,6 @@ def _eval(x, gens: list[Interval]) -> Interval:
     if h == 0:
         return Interval.point(x[0])
     return _eval(x[:h], gens) + _eval(x[h:], gens) * gens[h.bit_length() - 1]
-
-
-def _generator_intervals(rads, bits: int) -> list[Interval]:
-    gens: list[Interval] = []
-    for rad in rads:
-        gens.append(sqrt_interval(_eval(rad, gens), bits))
-    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +173,8 @@ def _sqrt_in_field(x, rads):
         if r is not None:
             return r + a_hi
         try:
-            quot = _mul(a_lo, _inv(rad, rads), rads)
+            # Fraction coordinates: 1 / int would be a float
+            quot = _mul(a_lo, _inv(tuple(map(Fraction, rad)), rads), rads)
         except (DivisionByZero, InvalidTower):
             return None
         r = _sqrt_in_field(quot, rads)
@@ -209,10 +240,26 @@ class TowerField:
     list that prefixes a longer one embeds into it.
     """
 
-    __slots__ = ("_radicands",)
+    __slots__ = ("_radicands", "_int_radicands", "_gens")
 
     def __init__(self, radicands: tuple = ()):
         self._radicands = radicands
+        # the kernel's copy: int coordinates where the denominator is 1
+        self._int_radicands = tuple(
+            tuple(c.numerator if c.denominator == 1 else c for c in rad)
+            for rad in radicands
+        )
+        self._gens: dict[int, list[Interval]] = {}  # bits -> generator enclosures
+
+    def _generator_intervals(self, bits: int) -> list[Interval]:
+        """Enclosures of sqrt(d_0), sqrt(d_1), ... at ``bits``, computed once."""
+        gens = self._gens.get(bits)
+        if gens is None:
+            gens = []
+            for rad in self._radicands:
+                gens.append(sqrt_interval(_eval(rad, gens), bits))
+            self._gens[bits] = gens
+        return gens
 
     @property
     def depth(self) -> int:
@@ -341,12 +388,12 @@ class TowerElem:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return TowerElem(a._field, _mul(a._coords, b._coords, a._field._radicands))
+        return TowerElem(a._field, _mul(a._coords, b._coords, a._field._int_radicands))
 
     __rmul__ = __mul__
 
     def inverse(self) -> TowerElem:
-        return TowerElem(self._field, _inv(self._coords, self._field._radicands))
+        return TowerElem(self._field, _inv(self._coords, self._field._int_radicands))
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -402,7 +449,7 @@ class TowerElem:
         """Certified enclosure of the real value at the given sqrt precision."""
         if bits < _MIN_EVAL_BITS:
             raise ValueError(f"precision must be at least {_MIN_EVAL_BITS} bits")
-        return _eval(self._coords, _generator_intervals(self._field._radicands, bits))
+        return _eval(self._coords, self._field._generator_intervals(bits))
 
     def sign(self) -> int:
         """Certified sign in {-1, 0, +1}.
@@ -500,7 +547,7 @@ def sqrt(a: TowerElem) -> TowerElem:
         return f.zero
     if a.sign() < 0:
         raise NegativeRadicand(f"negative radicand {a}")
-    hit = _sqrt_in_field(a._coords, f._radicands)
+    hit = _sqrt_in_field(a._coords, f._int_radicands)
     if hit is not None:
         root = TowerElem(f, hit)
         return root if root.sign() > 0 else -root
@@ -522,7 +569,7 @@ def sqrt(a: TowerElem) -> TowerElem:
 def _sqrt_radicand(a: TowerElem) -> TowerElem:
     """Root of an already-normalized radicand: in-field hit or one new level."""
     f = a.field
-    hit = _sqrt_in_field(a._coords, f._radicands)
+    hit = _sqrt_in_field(a._coords, f._int_radicands)
     if hit is not None:
         root = TowerElem(f, hit)
         return root if root.sign() > 0 else -root

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, getcontext, localcontext
@@ -81,6 +82,24 @@ def random_elem(rng, field: TowerField, span: int = 9) -> TowerElem:
                 term = term * gens[i]
         value = value + term
     return value
+
+
+def reference_mul(x, y, rads):
+    """Tower product by the five-product Fraction recursion, as a reference.
+
+    ``x`` and ``y`` are coordinate tuples of one depth-k tower and ``rads``
+    its radicands' coordinate tuples; with g^2 = d the top radicand,
+    (x0 + x1*g)(y0 + y1*g) = (x0*y0 + x1*y1*d) + (x0*y1 + x1*y0)*g.
+    """
+    h = len(x) >> 1
+    if h == 0:
+        return (x[0] * y[0],)
+    x0, x1, y0, y1 = x[:h], x[h:], y[:h], y[h:]
+    d = rads[h.bit_length() - 1]
+    lo = map(operator.add, reference_mul(x0, y0, rads),
+             reference_mul(reference_mul(x1, y1, rads), d, rads))
+    hi = map(operator.add, reference_mul(x0, y1, rads), reference_mul(x1, y0, rads))
+    return tuple(lo) + tuple(hi)
 
 
 def reference_rotation_document() -> str:

@@ -415,10 +415,17 @@ def test_float_document_rejects_string_entries():
 
 
 def test_exact_document_rejects_boolean_entries():
-    doc = '{"mode":"exact","matrix":[[true,0,0],[0,1,0],[0,0,1]]}'
-    code, out, err = run_cli(["classify", doc])
-    assert code == 2 and out == ""
-    assert "exact-mode entries must be expression strings" in err
+    cases = [
+        ('{"mode":"exact","matrix":[[true,0,0],[0,1,0],[0,0,1]]}',
+         "exact-mode entries must be expression strings"),
+        # a boolean float scale was read as 1.0
+        ('{"mode":"float","scale":true,"matrix":[[1,0,0],[0,1,0],[0,0,1]]}',
+         "float-mode scale must be a number or an expression string"),
+    ]
+    for doc, message in cases:
+        code, out, err = run_cli(["classify", doc])
+        assert code == 2 and out == ""
+        assert message in err
 
 
 def test_exact_document_rejects_numeric_scale():

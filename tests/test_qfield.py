@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from support import random_elem, random_tower
+from support import random_elem, random_tower, reference_mul
 
 from ortho3 import (
     DivisionByZero,
@@ -409,6 +409,50 @@ def test_products_match_xor_convolution_random():
                 for _ in range(2)
             )
             assert (x * y).coefficients() == _xor_convolution(x.tree, y.tree, rads)
+
+
+def _nested_tower(depth: int, top: bool) -> TowerField:
+    """Q(sqrt(2), sqrt(3), ...) with sqrt(1 + 2*sqrt(2) + 3*sqrt(3)) adjoined
+    as the top level, or as level 2 with the remaining primes above it."""
+    primes = (2, 3, 5, 7)[: depth - 1]
+    field = QQ
+    for d in primes if top else primes[:2]:
+        field = tower_sqrt(field.rational(d)).field
+    g = field.generators()
+    field = tower_sqrt(1 + 2 * g[0] + 3 * g[1]).field
+    for d in () if top else primes[2:]:
+        field = tower_sqrt(field.rational(d)).field
+    assert field.depth == depth
+    return field
+
+
+def _kernel_cases():
+    yield QQ
+    for depth in (3, 4, 5):
+        yield _nested_tower(depth, top=True)
+    for depth in (4, 5):
+        yield _nested_tower(depth, top=False)
+    half = QQ.extend((Fraction(1, 2),))
+    yield half.extend((Fraction(1, 3), Fraction(2, 5)))
+    yield half.extend((Fraction(1, 3), Fraction(2, 5))).extend(
+        (Fraction(3, 4), Fraction(-1, 6), Fraction(5, 7), Fraction(1, 9))
+    )
+
+
+def test_products_match_five_product_reference_random():
+    rng = random.Random(20261019)
+    for field in _kernel_cases():
+        k = field.depth
+        rads = [field.radicand(i).coefficients()[: 1 << i] for i in range(k)]
+        for _ in range(4):
+            x, y = (
+                TowerElem(field, tuple(
+                    Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(1 << k)
+                ))
+                for _ in range(2)
+            )
+            assert (x * y).coefficients() == list(reference_mul(x.tree, y.tree, rads))
+            assert x * x.inverse() == 1
 
 
 def test_rational_element_signs_without_interval_evaluation(monkeypatch):
