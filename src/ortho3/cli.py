@@ -106,14 +106,18 @@ def _add_angle_args(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        ns = build_parser().parse_args(argv)
+        ns = parser.parse_args(argv)
+        tol = getattr(ns, "tol", 1e-9)
+        digits = getattr(ns, "digits", 12)
+        if not 0 <= tol < math.inf:
+            parser.error(f"argument --tol: must be a finite number >= 0, got {tol}")
+        if digits < 1:
+            parser.error(f"argument --digits: must be at least 1, got {digits}")
     except SystemExit as e:
         return int(e.code or 0)
     mode = getattr(ns, "mode", None) or "float"
-    tol = getattr(ns, "tol", None)
-    tol = 1e-9 if tol is None else tol
-    digits = getattr(ns, "digits", None) or 12
     json_out = bool(getattr(ns, "json", False))
     try:
         if ns.command == "rotate":

@@ -250,7 +250,7 @@ def _residual(diff: Mat3, b) -> float:
 def orthogonality_residual(M: Mat3, backend=None) -> float:
     """Max-norm of M^t M - I as a float; zero for exactly orthogonal input."""
     b = backend or infer_backend(M.entries)
-    return _residual(M.transpose() @ M - Mat3.identity(), b)
+    return _residual(M.gram() - Mat3.identity(), b)
 
 
 def invariant_report(M: Mat3, backend=None) -> InvariantReport:
@@ -273,7 +273,7 @@ def classify(M: Mat3, backend=None, tol: float | None = None) -> Decomposition:
     with (axis, sin) flipped together, so angles land in [0, 360) degrees.
     """
     b = backend or infer_backend(M.entries, 1e-9 if tol is None else tol)
-    diff = M.transpose() @ M - Mat3.identity()
+    diff = M.gram() - Mat3.identity()
     res = _residual(diff, b)
     if not all(b.is_zero(e) for e in diff.entries):
         raise NotOrthogonal(res)

@@ -115,6 +115,14 @@ class Mat3:
 
     __matmul__ = matmul
 
+    def gram(self) -> Mat3:
+        """MᵗM, with each of its 6 distinct entries computed once."""
+        a, b, c, d, e, f, g, h, i = self.entries
+        return _symmetric(
+            a * a + d * d + g * g, a * b + d * e + g * h, a * c + d * f + g * i,
+            b * b + e * e + h * h, b * c + e * f + h * i, c * c + f * f + i * i,
+        )
+
     def matvec(self, v: Vec3) -> Vec3:
         e = self.entries
         return Vec3(
@@ -157,7 +165,15 @@ class Mat3:
 
 
 def outer(u: Vec3, v: Vec3) -> Mat3:
+    """u vᵗ; when ``u`` is ``v``, the 6 distinct entries are computed once."""
+    if u is v:
+        x, y, z = u.x, u.y, u.z
+        return _symmetric(x * x, x * y, x * z, y * y, y * z, z * z)
     return Mat3.from_rows([[a * b for b in v] for a in u])
+
+
+def _symmetric(xx, xy, xz, yy, yz, zz) -> Mat3:
+    return Mat3((xx, xy, xz, xy, yy, yz, xz, yz, zz))
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,30 @@
 """Exact arithmetic in towers of real quadratic extensions Q(sqrt(d1))(sqrt(d2))...
 
-An element of a depth-k tower is stored as one tuple of its 2^k rational
-coordinates in binary-counting monomial order: bit i of an index says whether
-sqrt(d_i) is a factor of that monomial, so ``(1, 2, 3, 4)`` over
-Q(sqrt(2))(sqrt(3)) is ``1 + 2*sqrt(2) + 3*sqrt(3) + 4*sqrt(2)*sqrt(3)``.
-Level i's radicand is stored the same way, as the 2^i coordinates of an
-element of the field below.  Writing the top generator as ``g``, the first
-half of a tuple is the part without ``g`` and the second half its
-coefficient: ``x = x[:h] + x[h:]*g``.  Because each radicand is kept
-non-square in the field below it, the coordinates are canonical: two elements
-of the same tower are equal iff their tuples are identical.
+An element of a depth-k tower has 2^k rational coordinates in binary-counting
+monomial order: bit i of an index says whether sqrt(d_i) is a factor of that
+monomial, so ``(1, 2, 3, 4)`` over Q(sqrt(2))(sqrt(3)) is
+``1 + 2*sqrt(2) + 3*sqrt(3) + 4*sqrt(2)*sqrt(3)``.  It is stored as one pair
+``(num, den)``: a tuple of int numerators over one positive int denominator,
+reduced so that ``gcd(den, *num) == 1`` (the layout of FLINT's ``fmpq_poly``).
+Level i's radicand is a pair of the same kind with 2^i numerators.  Writing
+the top generator as ``g``, the first half of ``num`` is the part without
+``g`` and the second half its coefficient.  Because each radicand is kept
+non-square in the field below it and every pair is reduced, two elements of
+the same tower are equal iff their pairs are identical.  The halves of a
+reduced pair need not be reduced, so the helpers accept any pair and reduce
+every pair they return.
 
-Products run on integers: each operand's denominators are cleared once, the
-recursion by halves multiplies Python ints, using Karatsuba's identity for the
-cross term and a plain scale where a level's radicand is rational, and each
-result coordinate becomes a ``Fraction`` once at the end.  The kernel reads
-the radicands from :class:`TowerField`'s second copy, made once per field,
-whose coordinates are ints wherever their denominator is 1 (the radicands
-that :func:`sqrt` adjoins always are).  Each field also keeps its generators'
+A sum is one ``map`` over equal denominators and a cross-multiplication
+otherwise.  A product with a rational operand scales the other's numerators;
+any other product recurses by halves on Python ints, with Karatsuba's identity
+for the cross term and a plain scale where a level's radicand is rational.
+Either way one gcd reduces the result.  Each field keeps its generators'
 interval enclosures per precision, so they are computed once.
 
 Numeric questions (signs, approximations) are answered through certified
-rational interval arithmetic, with precision doubling from 128 up to 4096
-bits before giving up with :class:`Inconclusive`.
+rational interval arithmetic on the numerators, whose enclosure is then
+divided by the denominator, with precision doubling from 128 up to 4096 bits
+before giving up with :class:`Inconclusive`.
 """
 
 from __future__ import annotations
@@ -31,126 +33,142 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, neg, sub
 
-from ..errors import (
-    DivisionByZero,
-    Inconclusive,
-    IncompatibleTowers,
-    InvalidTower,
-    NegativeRadicand,
-)
+from ..errors import (DivisionByZero, Inconclusive, IncompatibleTowers, InvalidTower,
+                      NegativeRadicand)
 from .interval import Interval, sqrt_interval
 
 _MIN_EVAL_BITS = 32
 _SIGN_START_BITS = 128
 _SIGN_CAP_BITS = 4096
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# raw coordinate arithmetic
+# raw pair arithmetic
 # ---------------------------------------------------------------------------
 
-def _add(x, y):
-    return tuple(map(add, x, y))
+def _reduced(num, den: int):
+    """The canonical pair of num/den (den > 0): both divided by their gcd."""
+    g = gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(c // g for c in num), den // g
+
+
+def _pair(coords):
+    """The canonical pair of a sequence of rationals (ints or Fractions)."""
+    coords = [Fraction(c) for c in coords]
+    den = lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (den // c.denominator) for c in coords), den
+
+
+def _combine(x, y, op):
+    """x + y or x - y as ``op`` is ``add`` or ``sub``."""
+    (xn, dx), (yn, dy) = x, y
+    if dx == dy:
+        return _reduced(tuple(map(op, xn, yn)), dx)
+    return _reduced(tuple(map(op, [a * dy for a in xn], [b * dx for b in yn])), dx * dy)
 
 
 def _neg(x):
-    return tuple(map(neg, x))
+    return tuple(map(neg, x[0])), x[1]
 
 
-def _sub(x, y):
-    return tuple(map(sub, x, y))
+def _half(x):
+    return _reduced(x[0], 2 * x[1])
 
 
-def _scale(x, c: Fraction):
-    return tuple(a * c for a in x)
+def _cat(lo, hi):
+    """The pair of lo + hi*g, g the generator above the halves ``lo``, ``hi``."""
+    (ln, ld), (hn, hd) = lo, hi
+    return _reduced(tuple(a * hd for a in ln) + tuple(b * ld for b in hn), ld * hd)
 
 
 def _mul(x, y, rads):
-    """Product of two coordinate tuples; ``rads`` is a field's ``_int_radicands``.
-
-    Each operand's denominators are cleared once (``x = xi/dx``), the product
-    runs on integers in :func:`_imul`, and each result coordinate is built
-    once as ``Fraction(z, dx*dy)``.
-    """
-    if len(x) == 1:
-        return (x[0] * y[0],)
-    dx, xi = _cleared(x)
-    dy, yi = _cleared(y)
-    d = dx * dy
-    return tuple(Fraction(z, d) if z else _ZERO for z in _imul(xi, yi, rads))
-
-
-def _cleared(x):
-    """(d, xi) with xi the integer coordinates of d*x, d the common denominator."""
-    d = lcm(*(c.denominator for c in x))
-    return d, [c.numerator * (d // c.denominator) for c in x]
+    """Product of two pairs over the radicand pairs ``rads``: a rational (or
+    zero) operand scales the other's numerators, else :func:`_imul` runs."""
+    (xn, dx), (yn, dy) = x, y
+    if any(xn[1:]):
+        if any(yn[1:]):
+            z, s = _imul(xn, yn, rads)
+            return _reduced(z, dx * dy * s)
+        xn, yn = yn, xn
+    c = xn[0]
+    return _reduced([c * b for b in yn], dx * dy)
 
 
 def _imul(x, y, rads):
-    """(x0 + x1*g)(y0 + y1*g) on integer lists, g^2 the top radicand.
+    """(z, s): z the integer coordinates of s*(x0 + x1*g)(y0 + y1*g) for
+    integer lists x, y, with g^2 = rn/rd the top radicand.
 
-    The cross term is Karatsuba's (x0+x1)(y0+y1) - x0*y0 - x1*y1, and a
-    rational radicand multiplies x1*y1 as a scale: 3 products per level, 4
-    when the radicand is not rational.
+    s > 0 clears the radicand denominators; it depends only on the level and
+    is 1 unless :meth:`TowerField.extend` adjoined a radicand with one.  The
+    cross term is Karatsuba's (x0+x1)(y0+y1) - x0*y0 - x1*y1, and a rational
+    radicand multiplies x1*y1 as a scale: 3 products per level, 4 when the
+    radicand is not rational.
     """
     h = len(x) >> 1
+    rn, rd = rads[h.bit_length() - 1]
     if h == 1:
         (x0, x1), (y0, y1) = x, y
-        return [x0 * y0 + x1 * y1 * rads[0][0], x0 * y1 + x1 * y0]
+        if rd == 1:
+            return [x0 * y0 + x1 * y1 * rn[0], x0 * y1 + x1 * y0], 1
+        return [rd * x0 * y0 + x1 * y1 * rn[0], rd * (x0 * y1 + x1 * y0)], rd
     x0, x1, y0, y1 = x[:h], x[h:], y[:h], y[h:]
-    p0 = _imul(x0, y0, rads)
-    p1 = _imul(x1, y1, rads)
+    p0, s = _imul(x0, y0, rads)
+    p1, _ = _imul(x1, y1, rads)
     hi = [m - a - b for m, a, b in zip(
-        _imul(list(map(add, x0, x1)), list(map(add, y0, y1)), rads), p0, p1)]
-    rad = rads[h.bit_length() - 1]
-    if any(rad[1:]):
-        return list(map(add, p0, _imul(p1, rad, rads))) + hi
-    r = rad[0]
-    return [a + b * r for a, b in zip(p0, p1)] + hi
+        _imul(list(map(add, x0, x1)), list(map(add, y0, y1)), rads)[0], p0, p1)]
+    if any(rn[1:]):
+        q, _ = _imul(p1, rn, rads)  # s*s*x1*y1*rn
+        f = rd * s
+    else:
+        r = rn[0]
+        if rd == 1:
+            return [a + b * r for a, b in zip(p0, p1)] + hi, s
+        q, f = [b * r for b in p1], rd
+    if f != 1:
+        p0 = [f * a for a in p0]
+        hi = [f * c for c in hi]
+    return list(map(add, p0, q)) + hi, s * f
 
 
 def _inv(x, rads):
-    h = len(x) >> 1
+    num, den = x
+    h = len(num) >> 1
     if h == 0:
-        if not x[0]:
+        n = num[0]
+        if not n:
             raise DivisionByZero("inverse of zero")
-        return (1 / x[0],)
-    a, b = x[:h], x[h:]
-    if not any(b):
-        if not any(a):
-            raise DivisionByZero("inverse of zero")
-        return _inv(a, rads) + b
+        return _reduced((den,), n) if n > 0 else _reduced((-den,), -n)
+    a, b = (num[:h], den), (num[h:], den)
+    if not any(b[0]):
+        return _cat(_inv(a, rads), b)
     # (a + b*sqrt(r))^-1 = (a - b*sqrt(r)) / (a^2 - b^2*r)
     rad = rads[h.bit_length() - 1]
-    norm = _sub(_mul(a, a, rads), _mul(_mul(b, b, rads), rad, rads))
-    if not any(norm):
+    norm = _combine(_mul(a, a, rads), _mul(_mul(b, b, rads), rad, rads), sub)
+    if not any(norm[0]):
         raise InvalidTower("conjugate norm vanished: radicand is a square below")
     ninv = _inv(norm, rads)
-    return _mul(a, ninv, rads) + _neg(_mul(b, ninv, rads))
+    return _cat(_mul(a, ninv, rads), _neg(_mul(b, ninv, rads)))
 
 
 def _eval(x, gens: list[Interval]) -> Interval:
-    h = len(x) >> 1
+    """Enclosure of x: of its numerators, then divided by its denominator."""
+    num, den = x
+    v = _eval_num(num, gens)
+    return v if den == 1 else Interval(v.lo / den, v.hi / den)
+
+
+def _eval_num(num, gens: list[Interval]) -> Interval:
+    h = len(num) >> 1
     if h == 0:
-        return Interval.point(x[0])
-    return _eval(x[:h], gens) + _eval(x[h:], gens) * gens[h.bit_length() - 1]
+        return Interval.point(num[0])
+    return _eval_num(num[:h], gens) + _eval_num(num[h:], gens) * gens[h.bit_length() - 1]
 
 
 # ---------------------------------------------------------------------------
 # exact square roots
 # ---------------------------------------------------------------------------
-
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    rn = isqrt(x.numerator)
-    rd = isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
 
 def _sqrt_in_field(x, rads):
     """An exact square root of ``x`` inside its own field, or None.
@@ -162,40 +180,38 @@ def _sqrt_in_field(x, rads):
     verified by squaring, so a degenerate tower can only cause a miss, never
     a bad hit.
     """
-    h = len(x) >> 1
+    num, den = x
+    h = len(num) >> 1
     if h == 0:
-        r = _rational_sqrt(x[0])
-        return None if r is None else (r,)
-    a_lo, a_hi = x[:h], x[h:]
+        (n,), d = _reduced(num, den)  # a half of an element need not be reduced
+        r, s = isqrt(max(n, 0)), isqrt(d)  # a negative n fails r*r == n
+        return ((r,), s) if r * r == n and s * s == d else None
+    a_lo, a_hi = (num[:h], den), (num[h:], den)
     rad = rads[h.bit_length() - 1]
-    if not any(a_hi):
+    if not any(a_hi[0]):
         r = _sqrt_in_field(a_lo, rads)
         if r is not None:
-            return r + a_hi
+            return _cat(r, a_hi)
         try:
-            # Fraction coordinates: 1 / int would be a float
-            quot = _mul(a_lo, _inv(tuple(map(Fraction, rad)), rads), rads)
+            quot = _mul(a_lo, _inv(rad, rads), rads)
         except (DivisionByZero, InvalidTower):
             return None
         r = _sqrt_in_field(quot, rads)
-        if r is not None:
-            return a_hi + r
-        return None
-    disc = _sub(_mul(a_lo, a_lo, rads), _mul(_mul(a_hi, a_hi, rads), rad, rads))
+        return None if r is None else _cat(a_hi, r)
+    disc = _combine(_mul(a_lo, a_lo, rads), _mul(_mul(a_hi, a_hi, rads), rad, rads), sub)
     t = _sqrt_in_field(disc, rads)
     if t is None:
         return None
-    half = Fraction(1, 2)
     for root in (t, _neg(t)):
-        lo = _sqrt_in_field(_scale(_add(a_lo, root), half), rads)
-        if lo is None or not any(lo):
+        lo = _sqrt_in_field(_half(_combine(a_lo, root, add)), rads)
+        if lo is None or not any(lo[0]):
             continue
         try:
-            hi = _scale(_mul(a_hi, _inv(lo, rads), rads), half)
+            hi = _half(_mul(a_hi, _inv(lo, rads), rads))
         except (DivisionByZero, InvalidTower):
             continue
-        cand = lo + hi
-        if not any(_sub(_mul(cand, cand, rads), x)):
+        cand = _cat(lo, hi)
+        if not any(_combine(_mul(cand, cand, rads), x, sub)[0]):
             return cand
     return None
 
@@ -235,20 +251,15 @@ def _square_part(n: int) -> tuple[int, int]:
 class TowerField:
     """Immutable chain of quadratic adjunctions over Q.
 
-    Level ``i`` stores its radicand as a tuple of 2^i coordinates.  Fields
+    Level ``i`` stores its radicand as a pair with 2^i numerators.  Fields
     are value objects: equal radicand lists mean the same field, and a shorter
     list that prefixes a longer one embeds into it.
     """
 
-    __slots__ = ("_radicands", "_int_radicands", "_gens")
+    __slots__ = ("_radicands", "_gens")
 
     def __init__(self, radicands: tuple = ()):
-        self._radicands = radicands
-        # the kernel's copy: int coordinates where the denominator is 1
-        self._int_radicands = tuple(
-            tuple(c.numerator if c.denominator == 1 else c for c in rad)
-            for rad in radicands
-        )
+        self._radicands = radicands  # one canonical pair per level
         self._gens: dict[int, list[Interval]] = {}  # bits -> generator enclosures
 
     def _generator_intervals(self, bits: int) -> list[Interval]:
@@ -276,12 +287,14 @@ class TowerField:
     def is_prefix_of(self, other: TowerField) -> bool:
         return self._radicands == other._radicands[: self.depth]
 
-    def _padded(self, coords: tuple) -> TowerElem:
-        """The element of this field whose leading coordinates are ``coords``."""
-        return TowerElem(self, coords + (_ZERO,) * ((1 << self.depth) - len(coords)))
+    def _padded(self, x) -> TowerElem:
+        """The element of this field whose leading coordinates are the pair ``x``'s."""
+        num, den = x
+        return _elem(self, (num + (0,) * ((1 << self.depth) - len(num)), den))
 
     def rational(self, x) -> TowerElem:
-        return self._padded((Fraction(x),))
+        q = Fraction(x)
+        return self._padded(((q.numerator,), q.denominator))
 
     @property
     def zero(self) -> TowerElem:
@@ -293,7 +306,7 @@ class TowerField:
 
     def generator(self, i: int) -> TowerElem:
         """sqrt(d_i) as an element of this field."""
-        return self._padded((_ZERO,) * (1 << i) + (_ONE,))
+        return self._padded(((0,) * (1 << i) + (1,), 1))
 
     def radicand(self, i: int) -> TowerElem:
         """d_i lifted into this field."""
@@ -304,8 +317,8 @@ class TowerField:
 
     def extend(self, radicand: tuple) -> TowerField:
         """This field with sqrt(radicand) adjoined; ``radicand`` is the
-        coordinate tuple of a non-square element of this field."""
-        return TowerField(self._radicands + (radicand,))
+        tuple of rational coordinates of a non-square element of this field."""
+        return TowerField(self._radicands + (_pair(radicand),))
 
     def __repr__(self) -> str:
         if not self._radicands:
@@ -324,11 +337,12 @@ class TowerElem:
     raise :class:`IncompatibleTowers` otherwise.  Ints and Fractions coerce.
     """
 
-    __slots__ = ("_field", "_coords")
+    __slots__ = ("_field", "_x")
 
     def __init__(self, field: TowerField, coords: tuple):
+        """The element of ``field`` with rational coordinates ``coords``."""
         self._field = field
-        self._coords = coords
+        self._x = _pair(coords)
 
     @property
     def field(self) -> TowerField:
@@ -337,14 +351,15 @@ class TowerElem:
     @property
     def tree(self) -> tuple:
         """The coordinate tuple, in the order of :meth:`coefficients`."""
-        return self._coords
+        num, den = self._x
+        return tuple(Fraction(c, den) for c in num)
 
     def lift(self, field: TowerField) -> TowerElem:
         if self._field == field:
             return self
         if not self._field.is_prefix_of(field):
             raise IncompatibleTowers(f"cannot lift {self!r} into {field!r}")
-        return field._padded(self._coords)
+        return field._padded(self._x)
 
     def _coerce(self, other) -> tuple[TowerElem, TowerElem] | None:
         if isinstance(other, (int, Fraction)):
@@ -366,7 +381,7 @@ class TowerElem:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return TowerElem(a._field, _add(a._coords, b._coords))
+        return _elem(a._field, _combine(a._x, b._x, add))
 
     __radd__ = __add__
 
@@ -375,25 +390,25 @@ class TowerElem:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return TowerElem(a._field, _sub(a._coords, b._coords))
+        return _elem(a._field, _combine(a._x, b._x, sub))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self) -> TowerElem:
-        return TowerElem(self._field, _neg(self._coords))
+        return _elem(self._field, _neg(self._x))
 
     def __mul__(self, other):
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return TowerElem(a._field, _mul(a._coords, b._coords, a._field._int_radicands))
+        return _elem(a._field, _mul(a._x, b._x, a._field._radicands))
 
     __rmul__ = __mul__
 
     def inverse(self) -> TowerElem:
-        return TowerElem(self._field, _inv(self._coords, self._field._int_radicands))
+        return _elem(self._field, _inv(self._x, self._field._radicands))
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -426,30 +441,30 @@ class TowerElem:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a._coords == b._coords
+        return a._x == b._x
 
     __hash__ = None  # equality lifts across fields; no consistent hash exists
 
     def is_zero(self) -> bool:
-        return not any(self._coords)
+        return not any(self._x[0])
 
     def is_rational(self) -> bool:
-        return not any(self._coords[1:])
+        return not any(self._x[0][1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self._coords[0]
+        return Fraction(self._x[0][0], self._x[1])
 
     def coefficients(self) -> list[Fraction]:
         """Rational coordinates in binary-counting monomial order."""
-        return list(self._coords)
+        return list(self.tree)
 
     def eval(self, bits: int = 128) -> Interval:
         """Certified enclosure of the real value at the given sqrt precision."""
         if bits < _MIN_EVAL_BITS:
             raise ValueError(f"precision must be at least {_MIN_EVAL_BITS} bits")
-        return _eval(self._coords, self._field._generator_intervals(bits))
+        return _eval(self._x, self._field._generator_intervals(bits))
 
     def sign(self) -> int:
         """Certified sign in {-1, 0, +1}.
@@ -460,7 +475,7 @@ class TowerElem:
         exhaust the cap.
         """
         if self.is_rational():
-            c = self._coords[0]
+            c = self._x[0][0]
             return (c > 0) - (c < 0)
         bits = _SIGN_START_BITS
         while bits <= _SIGN_CAP_BITS:
@@ -472,7 +487,7 @@ class TowerElem:
 
     def to_float(self) -> float:
         if self.is_rational():
-            return float(self._coords[0])
+            return self._x[0][0] / self._x[1]
         return self.eval(128).to_float()
 
     __float__ = to_float
@@ -481,13 +496,21 @@ class TowerElem:
 
     def render(self) -> str:
         """Canonical text form; re-parses to an equal element of this field."""
-        return _render(self._coords, self._field._radicands)
+        return _render(self._x, self._field._radicands)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"TowerElem({self.render()})"
+
+
+def _elem(field: TowerField, x) -> TowerElem:
+    """The element of ``field`` whose canonical pair is ``x``."""
+    e = object.__new__(TowerElem)
+    e._field = field
+    e._x = x
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +522,12 @@ def _strip_parens(s: str) -> str:
 
 
 def _render(x, rads) -> str:
+    num, den = x
     terms: list[tuple[int, str]] = []
-    for index, c in enumerate(x):
-        if not c:
+    for index, n in enumerate(num):
+        if not n:
             continue
+        c = Fraction(n, den)
         mag = -c if c < 0 else c
         radicals = [
             f"sqrt({_strip_parens(_render(rad, rads))})"
@@ -547,18 +572,15 @@ def sqrt(a: TowerElem) -> TowerElem:
         return f.zero
     if a.sign() < 0:
         raise NegativeRadicand(f"negative radicand {a}")
-    hit = _sqrt_in_field(a._coords, f._int_radicands)
+    hit = _sqrt_in_field(a._x, f._radicands)
     if hit is not None:
-        root = TowerElem(f, hit)
+        root = _elem(f, hit)
         return root if root.sign() > 0 else -root
-    coeffs = [c for c in a.coefficients() if c != 0]
-    content = Fraction(
-        gcd(*(c.numerator for c in coeffs)),
-        lcm(*(c.denominator for c in coeffs)),
-    )
-    reduced = a * (1 / content)
-    m, s = _square_part(content.numerator * content.denominator)
-    root = f.rational(Fraction(m, content.denominator))
+    num, den = a._x
+    g = gcd(*num)  # a's rational content is g/den, already reduced
+    reduced = _elem(f, (tuple(c // g for c in num), 1))
+    m, s = _square_part(g * den)
+    root = f.rational(Fraction(m, den))
     if s != 1:
         root = root * _sqrt_radicand(f.rational(s))
     if not (reduced.is_rational() and reduced.as_fraction() == 1):
@@ -569,9 +591,9 @@ def sqrt(a: TowerElem) -> TowerElem:
 def _sqrt_radicand(a: TowerElem) -> TowerElem:
     """Root of an already-normalized radicand: in-field hit or one new level."""
     f = a.field
-    hit = _sqrt_in_field(a._coords, f._int_radicands)
+    hit = _sqrt_in_field(a._x, f._radicands)
     if hit is not None:
-        root = TowerElem(f, hit)
+        root = _elem(f, hit)
         return root if root.sign() > 0 else -root
-    g = f.extend(a._coords)
+    g = f.extend(a.tree)
     return g.generator(g.depth - 1)

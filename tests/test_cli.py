@@ -348,6 +348,22 @@ def test_digits_flag_controls_rounding():
     assert rows[0][0] == 0.866  # cos 30 to four significant digits
 
 
+def test_out_of_range_digits_and_tol_are_usage_errors():
+    # rejected at argument parsing, before or after the subcommand: a
+    # --digits below 1 has no meaning for the formatter, and --tol inf would
+    # pass diag(2, 1, 1) as the identity
+    diag = '{"mode":"float","matrix":[[2,0,0],[0,1,0],[0,0,1]]}'
+    for flag, value in (("--digits", "-1"), ("--digits", "0"), ("--tol", "inf"),
+                        ("--tol", "nan"), ("--tol", "-1")):
+        for argv in ([flag, value, "rotate", "1 0 0", "--angle-deg", "30"],
+                     ["classify", diag, flag, value]):
+            code, out, err = run_cli(argv)
+            assert code == 2, argv
+            assert out == "" and f"argument {flag}: must be" in err, argv
+    code, out, _ = run_cli(["--tol", "0", "--digits", "1", "--json", "classify", IDENTITY_DOC])
+    assert code == 0 and json.loads(out)["kind"] == "identity"
+
+
 def test_pipe_closure_rotate_to_classify():
     code, out, _ = run_cli(["--json", "rotate", "0.1 0.2 0.3", "--angle-deg", "37"])
     assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 from support import reference_rotation_matrix
 
 from ortho3 import ExactBackend, FloatBackend, Mat3, Vec3, parse_scalar
+from ortho3.linalg3 import outer
 
 E1 = Vec3(1, 0, 0)
 E2 = Vec3(0, 1, 0)
@@ -92,6 +93,16 @@ def test_transpose_involution():
     A = Mat3.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert A.transpose().transpose().entries == A.entries
     assert A.transpose().det() == A.det()
+
+
+def test_gram_and_self_outer_match_the_full_products():
+    # the symmetric forms compute 6 entries; floats must match bit for bit
+    rng = random.Random(11)
+    M_exact, _ = reference_rotation_matrix()
+    for M in [M_exact] + [Mat3(tuple(rng.uniform(-2, 2) for _ in range(9))) for _ in range(50)]:
+        assert M.gram().entries == (M.transpose() @ M).entries
+        u = M.col(0)
+        assert outer(u, u).entries == Mat3.from_rows([[a * b for b in u] for a in u]).entries
 
 
 def test_trace_of_reference_matrix():

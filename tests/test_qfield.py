@@ -453,6 +453,16 @@ def test_products_match_five_product_reference_random():
             )
             assert (x * y).coefficients() == list(reference_mul(x.tree, y.tree, rads))
             assert x * x.inverse() == 1
+            assert (x + y).coefficients() == [a + b for a, b in zip(x.tree, y.tree)]
+            assert (x - y).coefficients() == [a - b for a, b in zip(x.tree, y.tree)]
+            q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 30))
+            for c in (q, 0):
+                lifted = (Fraction(c),) + (Fraction(0),) * ((1 << k) - 1)
+                assert (x * c).coefficients() == list(reference_mul(x.tree, lifted, rads))
+            # both hold only if every sum, product and quotient is reduced
+            assert (x + y) - y == x
+            assert x * q / q == x
+            assert x - x == 0 and x + x == x * 2
 
 
 def test_rational_element_signs_without_interval_evaluation(monkeypatch):
