@@ -110,8 +110,6 @@ def _imul(x, y, rads):
     rn, rd = rads[h.bit_length() - 1]
     if h == 1:
         (x0, x1), (y0, y1) = x, y
-        if rd == 1:
-            return [x0 * y0 + x1 * y1 * rn[0], x0 * y1 + x1 * y0], 1
         return [rd * x0 * y0 + x1 * y1 * rn[0], rd * (x0 * y1 + x1 * y0)], rd
     x0, x1, y0, y1 = x[:h], x[h:], y[:h], y[h:]
     p0, s = _imul(x0, y0, rads)
@@ -119,16 +117,11 @@ def _imul(x, y, rads):
     hi = [m - a - b for m, a, b in zip(
         _imul(list(map(add, x0, x1)), list(map(add, y0, y1)), rads)[0], p0, p1)]
     if any(rn[1:]):
-        q, _ = _imul(p1, rn, rads)  # s*s*x1*y1*rn
-        f = rd * s
+        q, f = _imul(p1, rn, rads)[0], rd * s  # q = s*s*x1*y1*rn
     else:
-        r = rn[0]
-        if rd == 1:
-            return [a + b * r for a, b in zip(p0, p1)] + hi, s
-        q, f = [b * r for b in p1], rd
+        q, f = [b * rn[0] for b in p1], rd
     if f != 1:
-        p0 = [f * a for a in p0]
-        hi = [f * c for c in hi]
+        p0, hi = [f * a for a in p0], [f * c for c in hi]
     return list(map(add, p0, q)) + hi, s * f
 
 
@@ -259,7 +252,8 @@ class TowerField:
     __slots__ = ("_radicands", "_gens")
 
     def __init__(self, radicands: tuple = ()):
-        self._radicands = radicands  # one canonical pair per level
+        """The tower over ``radicands``, tuples of rational coordinates."""
+        self._radicands = tuple(map(_pair, radicands))  # one canonical pair per level
         self._gens: dict[int, list[Interval]] = {}  # bits -> generator enclosures
 
     def _generator_intervals(self, bits: int) -> list[Interval]:
@@ -318,7 +312,7 @@ class TowerField:
     def extend(self, radicand: tuple) -> TowerField:
         """This field with sqrt(radicand) adjoined; ``radicand`` is the
         tuple of rational coordinates of a non-square element of this field."""
-        return TowerField(self._radicands + (_pair(radicand),))
+        return _tower(self._radicands + (_pair(radicand),))
 
     def __repr__(self) -> str:
         if not self._radicands:
@@ -505,6 +499,13 @@ class TowerElem:
         return f"TowerElem({self.render()})"
 
 
+def _tower(radicands: tuple) -> TowerField:
+    """The field whose radicands are the canonical pairs ``radicands``."""
+    f = object.__new__(TowerField)
+    f._radicands, f._gens = radicands, {}
+    return f
+
+
 def _elem(field: TowerField, x) -> TowerElem:
     """The element of ``field`` whose canonical pair is ``x``."""
     e = object.__new__(TowerElem)
@@ -595,5 +596,5 @@ def _sqrt_radicand(a: TowerElem) -> TowerElem:
     if hit is not None:
         root = _elem(f, hit)
         return root if root.sign() > 0 else -root
-    g = f.extend(a.tree)
+    g = _tower(f._radicands + (a._x,))
     return g.generator(g.depth - 1)

@@ -444,6 +444,7 @@ def test_products_match_five_product_reference_random():
     for field in _kernel_cases():
         k = field.depth
         rads = [field.radicand(i).coefficients()[: 1 << i] for i in range(k)]
+        assert TowerField(tuple(map(tuple, rads))) == field
         for _ in range(4):
             x, y = (
                 TowerElem(field, tuple(
