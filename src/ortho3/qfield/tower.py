@@ -101,7 +101,7 @@ def _imul(x, y, rads):
     integer lists x, y, with g^2 = rn/rd the top radicand.
 
     s > 0 clears the radicand denominators; it depends only on the level and
-    is 1 unless :meth:`TowerField.extend` adjoined a radicand with one.  The
+    is 1 unless a caller of :class:`TowerField` gave a radicand one.  The
     cross term is Karatsuba's (x0+x1)(y0+y1) - x0*y0 - x1*y1, and a rational
     radicand multiplies x1*y1 as a scale: 3 products per level, 4 when the
     radicand is not rational.
